@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -26,6 +25,7 @@ from .verifier import (
     Region,
     SamplePlan,
     count_violations,
+    default_region,
     evaluate_pairs,
     fit_qi_constants,
     sample_pairs,
@@ -121,6 +121,10 @@ def _cmd_check_covering(args) -> int:
 
 def _cmd_check_separation(args) -> int:
     P = validate_params(args.n, args.p)
+    if args.level_min >= args.level_max:
+        raise _UsageError(
+            f"need --level-min < --level-max, got {args.level_min} >= {args.level_max}"
+        )
     rng = random.Random(args.seed)
     gamma_bound = args.gamma_bound if args.gamma_bound is not None else P.p**3
     counts = {kind: 0 for kind in SeparationKind}
@@ -152,10 +156,8 @@ def _cmd_check_separation(args) -> int:
 
 def _cmd_verify(args) -> int:
     P = validate_params(args.n, args.p)
-    region = _parse_region(args.region) if args.region else None
     plan = SamplePlan(
-        region=region
-        or Region(-4.0, 4.0, float(P.p**4)),
+        region=_parse_region(args.region) if args.region else default_region(P),
         count=args.samples,
         strategy=args.strategy,
         seed=args.seed,
@@ -263,11 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategy", default="uniform")
     sp.add_argument("--norm", default="l1", choices=NORMS)
     sp.add_argument("--csv", help="also write per-pair rows to this CSV file")
-    sp.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("TREEBED_THREADS", "1")),
-    )
+    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("export-subtree", help="DOT/JSON subtree spanning ids")

@@ -97,14 +97,6 @@ def validate_params(n: int, p: int) -> Params:
     return params
 
 
-def as_fraction_vec(x: Sequence[Rational | float | str], n: int) -> RationalVec:
-    """Coerce a sequence to an exact rational vector of dimension n."""
-    v = tuple(Fraction(c) for c in x)
-    if len(v) != n:
-        raise DimensionMismatch(f"expected dimension {n}, got {len(v)}")
-    return v
-
-
 @dataclass(frozen=True)
 class RationalBox:
     """Closed axis-aligned box with exact rational corners."""

@@ -16,6 +16,7 @@ is pairwise disjoint with axis gaps of exactly 2*p^{-(k+1)}.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,6 @@ from .core import (
     Rational,
     RationalBox,
     RationalVec,
-    as_fraction_vec,
     boundary_margin,
     box_gap_sq,
 )
@@ -65,22 +65,59 @@ def _check_id(P: Params, cid: CubeId) -> None:
         raise DimensionMismatch(f"gamma dim {len(cid.gamma)} vs n={P.n}")
 
 
-def realize(P: Params, cid: CubeId) -> RationalBox:
-    """Exact rational box of a symbolic cube.
+@dataclass(frozen=True)
+class AxisFrame:
+    """The per-axis map of the cube patterns in scaled integers: coordinate x
+    has lattice position u = p^k (x - e) + e - c/(n+1), e = 1/(p-1), and
+    lattice point g's slab is g + 1/p <= u <= g + 1 - 1/p. All constants are
+    integer multiples of 1/D, D = p(p-1)(n+1), and the frame keeps those."""
 
-    Per axis: p^{-k} * (gamma_i + c/(n+1) + [1/p, 1-1/p] - eta0) + eta0.
-    """
+    n: int
+    p: int
+    D: int
+    lam: int  # 1/p = lam/D
+    eta: int  # e = eta/D
+    nu: int  # c/(n+1) = c*nu/D
+
+    def scale(self, k: int) -> tuple[int, int]:
+        """(up, dn), non-negative powers of p with p^-k = up/dn."""
+        return (self.p**-k, 1) if k < 0 else (1, self.p**k)
+
+    def slab(self, c: int, k: int, g: int) -> tuple[Fraction, Fraction]:
+        """Exact closed slab of lattice point g on one axis at color c, level k."""
+        up, dn = self.scale(k)
+        lo = up * (g * self.D + c * self.nu - self.eta + self.lam) + self.eta * dn
+        den = self.D * dn
+        return Fraction(lo, den), Fraction(lo + up * (self.D - 2 * self.lam), den)
+
+    def positions(self, c: int, k: int, x: Sequence) -> list[tuple[int, int, int]]:
+        """Exact lattice position of x per axis as (g, r, den): u = g + r/den."""
+        if len(x) != self.n:
+            raise DimensionMismatch(f"expected dimension {self.n}, got {len(x)}")
+        up, dn = self.scale(k)
+        D, eta = self.D, self.eta
+        shift = up * (eta - c * self.nu)
+        out = []
+        for xi in x:
+            a, b = (xi if isinstance(xi, float) else Fraction(xi)).as_integer_ratio()
+            den = D * b * up
+            out.append((*divmod(dn * (a * D - eta * b) + shift * b, den), den))
+        return out
+
+
+@functools.lru_cache(maxsize=64)
+def axis_frame(n: int, p: int) -> AxisFrame:
+    """The axis frame of the patterns with parameters (n, p)."""
+    q, n1 = p - 1, n + 1
+    return AxisFrame(n=n, p=p, D=p * q * n1, lam=q * n1, eta=p * n1, nu=p * q)
+
+
+def realize(P: Params, cid: CubeId) -> RationalBox:
+    """Exact rational box of a symbolic cube: the product of its axis slabs."""
     _check_id(P, cid)
-    scale = Fraction(1, P.p) ** cid.k
-    nu_c = Fraction(cid.c, P.n + 1)
-    e = Fraction(1, P.p - 1)
-    lo = []
-    hi = []
-    for g in cid.gamma:
-        base = g + nu_c - e
-        lo.append(scale * (base + P.lam) + e)
-        hi.append(scale * (base + 1 - P.lam) + e)
-    return RationalBox(tuple(lo), tuple(hi))
+    F = axis_frame(P.n, P.p)
+    lo, hi = zip(*(F.slab(cid.c, cid.k, g) for g in cid.gamma))
+    return RationalBox(lo, hi)
 
 
 def locate(
@@ -92,19 +129,11 @@ def locate(
     disjoint, so the containing cube is unique when it exists; points in the
     gap return None.
     """
-    v = as_fraction_vec(x, P.n)
-    scale = Fraction(P.p) ** k
-    nu_c = Fraction(c, P.n + 1)
-    e = Fraction(1, P.p - 1)
-    gamma = []
-    for xi in v:
-        u = scale * (xi - e) + e - nu_c
-        g = math.floor(u)
-        r = u - g
-        if not P.lam <= r <= 1 - P.lam:
-            return None
-        gamma.append(g)
-    return CubeId(c, k, tuple(gamma))
+    p = P.p
+    positions = axis_frame(P.n, p).positions(c, k, x)
+    if all(den <= p * r <= (p - 1) * den for _, r, den in positions):
+        return CubeId(c, k, tuple(g for g, _, _ in positions))
+    return None
 
 
 def nearest_in_level(
@@ -115,24 +144,12 @@ def nearest_in_level(
     The pattern is a product of one-dimensional patterns, so each axis
     minimizes independently; ties break to the smaller lattice coordinate,
     which yields the lexicographically smallest gamma overall. Comparisons
-    are exact (floats convert to rationals losslessly).
+    are exact (floats convert to rationals losslessly). Slab g is nearest
+    exactly for lattice positions in (g, g+1], as the gaps' midpoints are
+    the integers.
     """
-    v = as_fraction_vec(x, P.n)
-    scale = Fraction(P.p) ** k
-    nu_c = Fraction(c, P.n + 1)
-    e = Fraction(1, P.p - 1)
-    gamma = []
-    for xi in v:
-        u = scale * (xi - e) + e - nu_c
-        g0 = math.floor(u)
-        best_g = None
-        best_d = None
-        for g in (g0 - 1, g0, g0 + 1):
-            d = max(g + P.lam - u, u - (g + 1 - P.lam), Fraction(0))
-            if best_d is None or d < best_d:
-                best_g, best_d = g, d
-        gamma.append(best_g)
-    return CubeId(c, k, tuple(gamma))
+    positions = axis_frame(P.n, P.p).positions(c, k, x)
+    return CubeId(c, k, tuple(g - (r == 0) for g, r, _ in positions))
 
 
 class SeparationKind(enum.Enum):
@@ -250,16 +267,11 @@ def verify_covering_level0(
         raise ResourceLimit(
             f"grid of {total} cells exceeds the budget of {cell_budget}"
         )
-    # axis_cov[c][i]: does axis-cell i's center fall inside color c's slab?
-    axis_cov: dict[int, list[bool]] = {}
-    for c in cols:
-        nu_c = Fraction(c, P.n + 1)
-        row = []
-        for i in range(m):
-            u = Fraction(2 * i + 1, 2 * m) - nu_c
-            r = u - math.floor(u)
-            row.append(P.lam <= r <= 1 - P.lam)
-        axis_cov[c] = row
+    # axis_cov[c][i]: is the diagonal point at axis-cell i's center in color c?
+    centers = [Fraction(2 * i + 1, 2 * m) for i in range(m)]
+    axis_cov = {
+        c: [locate(P, c, 0, (x,) * P.n) is not None for x in centers] for c in cols
+    }
     uncovered = 0
     witnesses: list[RationalVec] = []
     for cell in product(range(m), repeat=P.n):

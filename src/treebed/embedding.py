@@ -10,14 +10,19 @@ image by a bounded amount and keeps the map O(n) per color.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import Params
-from .cubes import ColorMismatch, CubeId, nearest_in_level
+from .cubes import ColorMismatch, CubeId, ResourceLimit, nearest_in_level
 from .hyperbolic import HoroPoint
 from .tree import tree_distance
 
 NORMS = ("l1", "l2", "linf")
+
+# hyp_distance evaluates e^{sigma*t}; beyond this exponent no double holds it.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -43,8 +48,18 @@ def embedding_level(z: HoroPoint) -> int:
 
 
 def embed_color(P: Params, z: HoroPoint, c: int, level: int | None = None) -> CubeId:
-    """Nearest cube of color c at the rounded level of z (or a forced level)."""
+    """Nearest cube of color c at the rounded level of z (or a forced level).
+
+    Raises:
+        ResourceLimit: the level lies beyond the heights |t| <= log(DBL_MAX)/ln p
+            at which hyperbolic distances are representable at all.
+    """
     k = embedding_level(z) if level is None else level
+    if abs(k) > _LOG_FLOAT_MAX / P.sigma:
+        raise ResourceLimit(
+            f"level {k} is beyond the representable heights "
+            f"|t| <= {_LOG_FLOAT_MAX / P.sigma:.1f} for p={P.p}"
+        )
     return nearest_in_level(P, c, k, z.x)
 
 
@@ -78,12 +93,16 @@ def product_distance(
     norm: str = "l1",
     scan_cap: int = 64,
 ) -> float:
-    """Combine per-color tree distances under the chosen product norm.
+    """Combine per-color tree distances under the chosen product norm."""
+    return product_norm(per_color_distances(P, e1, e2, scan_cap), norm)
+
+
+def product_norm(ds: Sequence[int], norm: str) -> float:
+    """Per-color tree distances combined under the product norm ``norm``.
 
     All choices are bi-Lipschitz equivalent with factor at most n+1; the
     default L1 is integer-valued and therefore exact.
     """
-    ds = per_color_distances(P, e1, e2, scan_cap)
     norm = norm.lower()
     if norm == "l1":
         return float(sum(ds))

@@ -27,6 +27,10 @@ class HoroPoint:
     t: float
     x: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.t) and all(map(math.isfinite, self.x))):
+            raise ValueError(f"non-finite coordinate in t={self.t}, x={self.x}")
+
     @staticmethod
     def of(t: float, x: Sequence[float]) -> "HoroPoint":
         return HoroPoint(float(t), tuple(float(c) for c in x))
@@ -51,19 +55,15 @@ def hyp_distance(P: Params, z: HoroPoint, zp: HoroPoint) -> float:
     _check_dim(P, zp)
     s = P.sigma
     dt = z.t - zp.t
-    r2 = math.fsum((a - b) ** 2 for a, b in zip(z.x, zp.x))
     try:
+        r2 = math.fsum((a - b) ** 2 for a, b in zip(z.x, zp.x))
         u = 2.0 * math.sinh(0.5 * s * dt) ** 2 + 0.5 * s * s * math.exp(
             s * (z.t + zp.t)
         ) * r2
-    except OverflowError as exc:
-        raise DistanceOverflow(
-            f"distance overflow for t={z.t}, t'={zp.t}, ||x-x'||^2={r2}"
-        ) from exc
-    if math.isinf(u) or math.isnan(u):
-        raise DistanceOverflow(
-            f"distance overflow for t={z.t}, t'={zp.t}, ||x-x'||^2={r2}"
-        )
+    except OverflowError:
+        u = math.inf
+    if not math.isfinite(u):
+        raise DistanceOverflow(f"distance overflow between {z} and {zp}")
     return math.log1p(u + math.sqrt(u * (u + 2.0))) / s
 
 

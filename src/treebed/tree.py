@@ -22,7 +22,8 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .core import Params, RationalBox
-from .cubes import ColorMismatch, CubeId, ResourceLimit, _check_id, realize
+from .cubes import AxisFrame, ColorMismatch, CubeId, ResourceLimit, _check_id
+from .cubes import axis_frame, realize
 
 
 class ScanExhausted(RuntimeError):
@@ -41,38 +42,32 @@ class ScanExhausted(RuntimeError):
         self.context = context
 
 
-def _containing_gamma_at(P: Params, cid: CubeId, j: int) -> tuple[int, ...] | None:
+def _containing_gamma_at(F: AxisFrame, cid: CubeId, j: int) -> tuple[int, ...] | None:
     """Lattice point of the level-j cube containing cid's box, or None.
 
-    Works per axis in scaled integers (exact, no Fraction overhead). With
-    m = k - j >= 1, D = p*(p-1)*(n+1) and S = gamma_i*D + c*p*(p-1), the
-    candidate is the floor of the cube center mapped through H^j, and the
-    two containment inequalities are checked after clearing denominators by
-    D * p^m. Only one candidate per axis can work: a containing interval
-    must contain the center coordinate, and same-level intervals are
-    disjoint.
+    Works per axis in the scaled integers of the axis frame. With
+    m = k - j >= 1 and S = gamma_i*D + c*nu, the candidate is the floor of
+    the cube center mapped through H^j, and the two containment
+    inequalities are checked after clearing denominators by D * p^m. Only
+    one candidate per axis can work: a containing interval must contain the
+    center coordinate, and same-level intervals are disjoint.
     """
-    p, n = P.p, P.n
-    q = p - 1
-    n1 = n + 1
-    D = p * q * n1
-    pn1 = p * n1
-    qn1 = q * n1
-    cpq = cid.c * p * q
+    p, D, eta, lam = F.p, F.D, F.eta, F.lam
+    cnu = cid.c * F.nu
     m = cid.k - j
     pm = p**m
     B = 2 * D * pm
-    shift = pm * (2 * pn1 - 2 * cpq)
-    lo_rhs_tail = qn1 - pn1 + pm * pn1
-    hi_lhs_tail = -qn1 - pn1 + pm * pn1
+    shift = pm * (2 * eta - 2 * cnu)
+    lo_rhs_tail = lam - eta + pm * eta
+    hi_lhs_tail = -lam - eta + pm * eta
     out = []
     for g in cid.gamma:
-        S = g * D + cpq
-        gp = (2 * S + D - 2 * pn1 + shift) // B
-        base = gp * D + cpq
-        if pm * (base + qn1) > S + lo_rhs_tail:
+        S = g * D + cnu
+        gp = (2 * S + D - 2 * eta + shift) // B
+        base = gp * D + cnu
+        if pm * (base + lam) > S + lo_rhs_tail:
             return None
-        if pm * (base + D - qn1) < S + D + hi_lhs_tail:
+        if pm * (base + D - lam) < S + D + hi_lhs_tail:
             return None
         out.append(gp)
     return tuple(out)
@@ -87,8 +82,9 @@ def parent(P: Params, cid: CubeId, scan_cap: int = 64) -> CubeId:
     _check_id(P, cid)
     if scan_cap < 1:
         raise ValueError("scan_cap must be positive")
+    F = axis_frame(P.n, P.p)
     for j in range(cid.k - 1, cid.k - 1 - scan_cap, -1):
-        g = _containing_gamma_at(P, cid, j)
+        g = _containing_gamma_at(F, cid, j)
         if g is not None:
             return CubeId(cid.c, j, g)
     raise ScanExhausted(cid, cid.k - scan_cap)
@@ -156,13 +152,6 @@ class EdgeSet:
     edges: frozenset[tuple[CubeId, CubeId]]
 
 
-def _axis_slab(P: Params, c: int, k: int, g: int) -> tuple[Fraction, Fraction]:
-    scale = Fraction(1, P.p) ** k
-    base = g + Fraction(c, P.n + 1) - Fraction(1, P.p - 1)
-    e = Fraction(1, P.p - 1)
-    return (scale * (base + P.lam) + e, scale * (base + 1 - P.lam) + e)
-
-
 def _level_contains_box(
     P: Params, c: int, j: int, box: RationalBox, gamma_range: range
 ) -> bool:
@@ -171,11 +160,9 @@ def _level_contains_box(
     Pure enumeration per axis (the pattern is an axis product), used by the
     oracle instead of the candidate arithmetic of the lazy parent.
     """
+    slabs = [axis_frame(P.n, P.p).slab(c, j, g) for g in gamma_range]
     for lo, hi in zip(box.lo, box.hi):
-        if not any(
-            slo <= lo and hi <= shi
-            for slo, shi in (_axis_slab(P, c, j, g) for g in gamma_range)
-        ):
+        if not any(slo <= lo and hi <= shi for slo, shi in slabs):
             return False
     return True
 

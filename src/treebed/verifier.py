@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Params
-from .embedding import embed, per_color_distances
+from .embedding import embed, per_color_distances, product_norm
 from .hyperbolic import HoroPoint, hyp_distance
 from .tree import ScanExhausted
 
@@ -209,13 +209,7 @@ def _eval_one(
         raise ScanExhausted(
             exc.cid, exc.k_reached, context=f"while evaluating pair {z} / {zp}"
         ) from exc
-    if norm == "l1":
-        d_tree = float(sum(per))
-    elif norm == "linf":
-        d_tree = float(max(per))
-    else:
-        d_tree = math.sqrt(sum(d * d for d in per))
-    return PairSample(z, zp, hyp_distance(P, z, zp), d_tree, per)
+    return PairSample(z, zp, hyp_distance(P, z, zp), product_norm(per, norm), per)
 
 
 def evaluate_pairs(

@@ -192,6 +192,29 @@ class TestVerify:
         assert json.loads((tmp_path / "r2.json").read_text())["n_samples"] == 30
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["check-separation", "--level-min", "2", "--level-max", "2"], 2),
+        (["embed", "--point=inf,0"], 2),
+        (["embed", "--point=0,inf"], 2),
+        (["embed", "--point=nan,0"], 2),
+        (["embed", "--point=1e300,0"], 3),
+        (["embed", "--point=-1e300,0"], 3),
+        (["distance", "--z", "0,1e300", "--w", "0,-1e300"], 3),
+    ],
+)
+def test_out_of_domain_input_exits_promptly(argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "treebed", argv[0], "--n", "1", "--p", "5", *argv[1:]],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+
+
 def test_module_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "treebed", "tree-dist", "--n", "1", "--p", "5",

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,10 +69,24 @@ def test_self_similarity(cid):
     assert b.lo[0] == (up.lo[0] + 1) / 5 and b.hi[0] == (up.hi[0] + 1) / 5
 
 
-@given(cube_ids)
-def test_locate_realize_roundtrip(cid):
-    P = validate_params(1, 5)
-    assert locate(P, cid.c, cid.k, realize(P, cid).center) == cid
+@given(cube_ids, st.sampled_from([F, float, str]))
+def test_locate_realize_roundtrip(cid, coerce):
+    # Slab ends belong to the closed box, the gap midpoint after it to no
+    # cube, and that tie goes to the smaller gamma. A float is judged by its
+    # exact value, which may fall on either side of the rational it rounds.
+    for P in (validate_params(1, 5), validate_params(2, 7)):
+        cube = CubeId(min(cid.c, P.n), cid.k, (cid.gamma[0], -cid.gamma[0])[: P.n])
+        box = realize(P, cube)
+        after = realize(P, CubeId(cube.c, cube.k, tuple(g + 1 for g in cube.gamma)))
+        gap_mid = tuple((hi + lo) / 2 for hi, lo in zip(box.hi, after.lo))
+        assert locate(P, cube.c, cube.k, tuple(map(coerce, box.center))) == cube
+        for x in (box.lo, box.hi, gap_mid):
+            xs = tuple(map(coerce, x))
+            want = cube if box.contains_point(tuple(map(F, xs))) else None
+            assert locate(P, cube.c, cube.k, xs) == want
+        xs = tuple(map(coerce, gap_mid))
+        gamma = tuple(g + (F(v) > m) for g, v, m in zip(cube.gamma, xs, gap_mid))
+        assert nearest_in_level(P, cube.c, cube.k, xs) == CubeId(cube.c, cube.k, gamma)
 
 
 class TestLocate:
@@ -104,24 +119,39 @@ class TestNearestInLevel:
     def test_tie_breaks_to_smaller_gamma(self, p5):
         assert nearest_in_level(p5, 0, 0, (1.0,)) == CubeId(0, 0, (0,))
 
-    def test_brute_force_agreement(self, p5):
-        lam = 1 / 5
-
-        def oracle(c, k, x):
-            best = None
-            for g in range(-20, 21):
-                b = realize(p5, CubeId(c, k, (g,)))
-                d = max(float(b.lo[0]) - x, x - float(b.hi[0]), 0.0)
-                if best is None or (d, g) < best:
-                    best = (d, g)
-            return CubeId(c, k, (best[1],))
+    def test_brute_force_agreement(self, p5, p7):
+        def oracle(P, c, k, x):
+            # exact squared distance to every cube of a window around x;
+            # min over (distance, gamma) breaks ties to the smallest gamma
+            point = tuple(F(v) for v in x)
+            at = RationalBox(point, point)
+            _, gamma = min(
+                (box_gap_sq(at, realize(P, CubeId(c, k, g))), g)
+                for g in product(range(-5, 6), repeat=P.n)
+            )
+            return CubeId(c, k, gamma)
 
         rng = random.Random(20)
-        for _ in range(300):
-            c = rng.randint(0, 1)
-            k = rng.randint(-1, 2)
-            x = rng.uniform(-2, 2) * float(p5.lam) ** k
-            assert nearest_in_level(p5, c, k, (x,)) == oracle(c, k, x)
+        for P, draws in ((p5, 30), (p7, 12)):
+            for k in (-2, -1, 0, 1, 2):
+                for c in P.colors:
+                    # per axis: slab ends and gap midpoints of lattice points
+                    # -3..3, plus uniform floats across them
+                    boxes = [
+                        realize(P, CubeId(c, k, (g,) * P.n)) for g in range(-3, 5)
+                    ]
+                    lo, hi = boxes[0].lo[0], boxes[-2].hi[0]
+                    axis = [F(rng.uniform(lo, hi)) for _ in range(draws)]
+                    for b, after in zip(boxes, boxes[1:]):
+                        axis += [b.lo[0], b.hi[0], (b.hi[0] + after.lo[0]) / 2]
+                    if P.n == 1:
+                        points = [(v,) for v in axis]
+                    else:
+                        points = [tuple(rng.sample(axis, 2)) for _ in range(draws)]
+                    for x in points:
+                        for coerce in (F, float, str):
+                            xs = tuple(map(coerce, x))
+                            assert nearest_in_level(P, c, k, xs) == oracle(P, c, k, xs)
 
     def test_per_axis_independence(self, p7):
         got = nearest_in_level(p7, 0, 0, (0.5, 0.99))

@@ -103,6 +103,8 @@ class TestHypDistance:
     def test_overflow_reported(self, p5):
         with pytest.raises(DistanceOverflow):
             hyp_distance(p5, HoroPoint(300.0, (0.0,)), HoroPoint(300.0, (1e30,)))
+        with pytest.raises(DistanceOverflow):
+            hyp_distance(p5, HoroPoint(0.0, (1e300,)), HoroPoint(0.0, (-1e300,)))
 
     def test_dimension_mismatch(self, p7):
         with pytest.raises(DimensionMismatch):

@@ -102,6 +102,11 @@ class TestEvaluatePairs:
         for a, b, c in zip(linf.samples, l2.samples, l1.samples):
             assert a.d_tree <= b.d_tree <= c.d_tree
 
+    def test_unknown_norm(self, p5):
+        pairs = sample_pairs(p5, small_plan(count=3))
+        with pytest.raises(ValueError, match="norm"):
+            evaluate_pairs(p5, pairs, norm="l3")
+
     def test_threads_match_serial(self, p5):
         pairs = sample_pairs(p5, small_plan(count=60))
         serial = evaluate_pairs(p5, pairs)
