@@ -15,6 +15,7 @@ from .cubes import (
     CubeId,
     ResourceLimit,
     SeparationKind,
+    check_level,
     separation_verdict,
     verify_covering_level0,
 )
@@ -125,6 +126,8 @@ def _cmd_check_separation(args) -> int:
         raise _UsageError(
             f"need --level-min < --level-max, got {args.level_min} >= {args.level_max}"
         )
+    check_level(P, args.level_min)
+    check_level(P, args.level_max)
     rng = random.Random(args.seed)
     gamma_bound = args.gamma_bound if args.gamma_bound is not None else P.p**3
     counts = {kind: 0 for kind in SeparationKind}

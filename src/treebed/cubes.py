@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -46,6 +47,27 @@ class ResourceLimit(RuntimeError):
     """An exact enumeration would exceed its configured budget."""
 
 
+# Hyperbolic distances evaluate e^{sigma*t}; beyond this exponent no double
+# holds them.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+@functools.lru_cache(maxsize=64)
+def level_bound(p: int) -> float:
+    """Largest |level| whose heights keep hyperbolic distances representable:
+    log(DBL_MAX)/ln p, about 441 at p = 5."""
+    return _LOG_FLOAT_MAX / math.log(p)
+
+
+def check_level(P: Params, k: int) -> None:
+    """Raise ResourceLimit for a level k with |k| > level_bound(P.p)."""
+    if abs(k) > level_bound(P.p):
+        raise ResourceLimit(
+            f"level {k} is beyond the representable heights "
+            f"|t| <= {level_bound(P.p):.1f} for p={P.p}"
+        )
+
+
 @dataclass(frozen=True)
 class CubeId:
     """Symbolic cube: color c, level k, lattice point gamma."""
@@ -63,6 +85,7 @@ def _check_id(P: Params, cid: CubeId) -> None:
         raise ColorMismatch(f"color {cid.c} outside 0..{P.n}")
     if len(cid.gamma) != P.n:
         raise DimensionMismatch(f"gamma dim {len(cid.gamma)} vs n={P.n}")
+    check_level(P, cid.k)
 
 
 @dataclass(frozen=True)

@@ -10,19 +10,15 @@ image by a bounded amount and keeps the map O(n) per color.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Params
-from .cubes import ColorMismatch, CubeId, ResourceLimit, nearest_in_level
+from .cubes import ColorMismatch, CubeId, check_level, nearest_in_level
 from .hyperbolic import HoroPoint
 from .tree import tree_distance
 
 NORMS = ("l1", "l2", "linf")
-
-# hyp_distance evaluates e^{sigma*t}; beyond this exponent no double holds it.
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -55,11 +51,7 @@ def embed_color(P: Params, z: HoroPoint, c: int, level: int | None = None) -> Cu
             at which hyperbolic distances are representable at all.
     """
     k = embedding_level(z) if level is None else level
-    if abs(k) > _LOG_FLOAT_MAX / P.sigma:
-        raise ResourceLimit(
-            f"level {k} is beyond the representable heights "
-            f"|t| <= {_LOG_FLOAT_MAX / P.sigma:.1f} for p={P.p}"
-        )
+    check_level(P, k)
     return nearest_in_level(P, c, k, z.x)
 
 

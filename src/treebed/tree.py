@@ -19,10 +19,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import Params, RationalBox
-from .cubes import AxisFrame, ColorMismatch, CubeId, ResourceLimit, _check_id
+from .cubes import ColorMismatch, CubeId, ResourceLimit, _check_id
 from .cubes import axis_frame, realize
 
 
@@ -42,35 +42,40 @@ class ScanExhausted(RuntimeError):
         self.context = context
 
 
-def _containing_gamma_at(F: AxisFrame, cid: CubeId, j: int) -> tuple[int, ...] | None:
-    """Lattice point of the level-j cube containing cid's box, or None.
+def _ancestors(P: Params, cid: CubeId, scan_cap: int) -> Iterator[tuple]:
+    """Same-color ancestors of cid as (k, gamma) pairs, nearest first.
 
-    Works per axis in the scaled integers of the axis frame. With
-    m = k - j >= 1 and S = gamma_i*D + c*nu, the candidate is the floor of
-    the cube center mapped through H^j, and the two containment
-    inequalities are checked after clearing denominators by D * p^m. Only
-    one candidate per axis can work: a containing interval must contain the
-    center coordinate, and same-level intervals are disjoint.
+    cid must have passed _check_id. Each scan starts at the current tip and tries levels j = k-1, k-2, ...,
+    k - scan_cap. Per axis, in the axis frame's units, with m = k - j,
+    G = gamma_i*D and C = c*nu + lam - eta, the division
+    G - (p^m-1)*C = g'*p^m*D + r finds the level-j slab g' whose lower end
+    is the last at or below the tip's; the tip's slab fits in it iff
+    r <= (p^m-1)*(D - 2*lam), and no other same-level slab can hold it.
     """
-    p, D, eta, lam = F.p, F.D, F.eta, F.lam
-    cnu = cid.c * F.nu
-    m = cid.k - j
-    pm = p**m
-    B = 2 * D * pm
-    shift = pm * (2 * eta - 2 * cnu)
-    lo_rhs_tail = lam - eta + pm * eta
-    hi_lhs_tail = -lam - eta + pm * eta
-    out = []
-    for g in cid.gamma:
-        S = g * D + cnu
-        gp = (2 * S + D - 2 * eta + shift) // B
-        base = gp * D + cnu
-        if pm * (base + lam) > S + lo_rhs_tail:
-            return None
-        if pm * (base + D - lam) < S + D + hi_lhs_tail:
-            return None
-        out.append(gp)
-    return tuple(out)
+    if scan_cap < 1:
+        raise ValueError("scan_cap must be positive")
+    F = axis_frame(P.n, P.p)
+    p, D = F.p, F.D
+    C, side = cid.c * F.nu + F.lam - F.eta, D - 2 * F.lam
+    k, gamma = cid.k, cid.gamma
+    while True:
+        scaled = [g * D for g in gamma]
+        pm = 1
+        for m in range(1, scan_cap + 1):
+            pm *= p
+            width, shift, slack = pm * D, (pm - 1) * C, (pm - 1) * side
+            out = []
+            for G in scaled:
+                g, r = divmod(G - shift, width)
+                if r > slack:
+                    break
+                out.append(g)
+            else:
+                k, gamma = k - m, tuple(out)
+                yield k, gamma
+                break
+        else:
+            raise ScanExhausted(CubeId(cid.c, k, gamma), k - scan_cap)
 
 
 def parent(P: Params, cid: CubeId, scan_cap: int = 64) -> CubeId:
@@ -80,64 +85,56 @@ def parent(P: Params, cid: CubeId, scan_cap: int = 64) -> CubeId:
     cube always exists at some finite depth; scan_cap only guards the loop.
     """
     _check_id(P, cid)
-    if scan_cap < 1:
-        raise ValueError("scan_cap must be positive")
-    F = axis_frame(P.n, P.p)
-    for j in range(cid.k - 1, cid.k - 1 - scan_cap, -1):
-        g = _containing_gamma_at(F, cid, j)
-        if g is not None:
-            return CubeId(cid.c, j, g)
-    raise ScanExhausted(cid, cid.k - scan_cap)
+    return CubeId(cid.c, *next(_ancestors(P, cid, scan_cap)))
 
 
 def ancestor_chain(
     P: Params, cid: CubeId, floor_level: int, scan_cap: int = 64
 ) -> list[CubeId]:
     """Chain cid, parent(cid), ... down to the first level <= floor_level."""
+    _check_id(P, cid)
     chain = [cid]
+    up = _ancestors(P, cid, scan_cap)
     while chain[-1].k > floor_level:
-        chain.append(parent(P, chain[-1], scan_cap))
+        chain.append(CubeId(cid.c, *next(up)))
     return chain
 
 
-def tree_distance(P: Params, u: CubeId, v: CubeId, scan_cap: int = 64) -> int:
-    """Hop count of the unique path between u and v in their color tree.
+def _meet(P: Params, u: CubeId, v: CubeId, scan_cap: int) -> tuple[list, list]:
+    """The (k, gamma) walks from u and from v, both ending where they meet.
 
-    Walks both ancestor chains toward lower levels, always advancing the
-    endpoint at the higher level, until they meet. Neither pointer can pass
-    the meet: it lies on both chains and the walk only advances strictly
-    above it.
+    Always advances the endpoint at the higher level (u on a tie). Neither
+    walk can pass the meet: it lies on both chains and the walk only
+    advances strictly above it. Both ids are checked before the walk, which
+    would otherwise reach a lower endpoint's level before checking it.
     """
     if u.c != v.c:
         raise ColorMismatch(f"colors {u.c} vs {v.c}")
-    du = dv = 0
-    while u != v:
-        if u.k > v.k:
-            u = parent(P, u, scan_cap)
-            du += 1
-        elif v.k > u.k:
-            v = parent(P, v, scan_cap)
-            dv += 1
+    _check_id(P, u)
+    _check_id(P, v)
+    a, b = (u.k, u.gamma), (v.k, v.gamma)
+    left, right = [a], [b]
+    up_u, up_v = _ancestors(P, u, scan_cap), _ancestors(P, v, scan_cap)
+    while a != b:
+        if a[0] >= b[0]:
+            a = next(up_u)
+            left.append(a)
         else:
-            u = parent(P, u, scan_cap)
-            du += 1
-    return du + dv
+            b = next(up_v)
+            right.append(b)
+    return left, right
+
+
+def tree_distance(P: Params, u: CubeId, v: CubeId, scan_cap: int = 64) -> int:
+    """Hop count of the unique path between u and v in their color tree."""
+    left, right = _meet(P, u, v, scan_cap)
+    return len(left) + len(right) - 2
 
 
 def tree_path(P: Params, u: CubeId, v: CubeId, scan_cap: int = 64) -> list[CubeId]:
     """Vertex sequence of the unique u-v path (u and v included)."""
-    if u.c != v.c:
-        raise ColorMismatch(f"colors {u.c} vs {v.c}")
-    left = [u]
-    right = [v]
-    while left[-1] != right[-1]:
-        if left[-1].k > right[-1].k:
-            left.append(parent(P, left[-1], scan_cap))
-        elif right[-1].k > left[-1].k:
-            right.append(parent(P, right[-1], scan_cap))
-        else:
-            left.append(parent(P, left[-1], scan_cap))
-    return left + right[-2::-1]
+    left, right = _meet(P, u, v, scan_cap)
+    return [CubeId(u.c, k, gamma) for k, gamma in left + right[-2::-1]]
 
 
 @dataclass(frozen=True)
@@ -280,7 +277,12 @@ def export_subtree(
         return "_".join([str(v.c), str(v.k)] + [str(g) for g in v.gamma])
 
     def dec(vals: tuple[Fraction, ...]) -> str:
-        return ",".join(repr(float(c)) for c in vals)
+        try:
+            return ",".join(repr(float(c)) for c in vals)
+        except OverflowError as exc:
+            raise ResourceLimit(
+                "a corner is beyond the double range; use the JSON format"
+            ) from exc
 
     lines = [f"graph T{color} {{"]
     for v in nodes:

@@ -290,13 +290,13 @@ def fit_qi_constants(
         raise DegenerateSample(
             "every pair is below the fitting floor; nothing to fit"
         )
+    # (a, b) operands of the slope bounds (a - m) / b, built once for all m.
+    operands = [(s.d_tree, s.d_hyp) for s in fitting] + [
+        (s.d_hyp, s.d_tree) for s in fitting if s.d_tree > 0
+    ]
     best: tuple[float, float] | None = None
     for m in m_grid:
-        l = 1.0
-        for s in fitting:
-            l = max(l, (s.d_tree - m) / s.d_hyp)
-            if s.d_tree > 0:
-                l = max(l, (s.d_hyp - m) / s.d_tree)
+        l = max(1.0, max([(a - m) / b for a, b in operands]))
         if best is None or (l, m) < best:
             best = (l, m)
     l, m = best

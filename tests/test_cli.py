@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treebed.cli import main
 
@@ -202,6 +205,11 @@ class TestVerify:
         (["embed", "--point=1e300,0"], 3),
         (["embed", "--point=-1e300,0"], 3),
         (["distance", "--z", "0,1e300", "--w", "0,-1e300"], 3),
+        (["tree-dist", "--u", "0,100000000,0", "--v", "0,0,0"], 3),
+        (["export-subtree", "--id", "0,1000000000,0"], 3),
+        (["check-separation", "--level-max", "1000000000"], 3),
+        (["export-subtree", "--id=0,-440,1000000000000"], 3),
+        (["tree-dist", "--u", "0,0,0", "--v=0,-1000000000,0"], 3),
     ],
 )
 def test_out_of_domain_input_exits_promptly(argv, code):
@@ -224,3 +232,45 @@ def test_module_entrypoint():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
+
+
+# Levels near the origin, around the representable bound (441 at p=5) and far
+# beyond it; lattice points small and large; scan caps including 0 and < 0.
+_levels = st.one_of(
+    st.integers(-6, 12),
+    st.integers(-450, 450),
+    st.sampled_from([-10**9, -442, -441, -440, 440, 441, 442, 10**9]),
+)
+_gammas = st.one_of(st.integers(-60, 60), st.integers(-10**12, 10**12))
+_cube = st.builds(lambda c, k, g: f"{c},{k},{g}", st.integers(-1, 2), _levels, _gammas)
+_scan_cap = st.one_of(st.integers(-2, 8), st.sampled_from([64, 10**6]))
+
+
+@st.composite
+def _query_argv(draw):
+    command = draw(st.sampled_from(["tree-dist", "export-subtree", "check-separation"]))
+    argv = [command, "--n", "1", "--p", "5", f"--scan-cap={draw(_scan_cap)}"]
+    if command == "tree-dist":
+        argv += [f"--u={draw(_cube)}", f"--v={draw(_cube)}"]
+    elif command == "export-subtree":
+        argv += [f"--id={cube}" for cube in draw(st.lists(_cube, min_size=1, max_size=3))]
+        argv += ["--format", draw(st.sampled_from(["dot", "json"]))]
+    else:
+        argv += [
+            f"--level-min={draw(_levels)}",
+            f"--level-max={draw(_levels)}",
+            f"--samples={draw(st.integers(-1, 20))}",
+            f"--gamma-bound={draw(st.integers(-1, 10**6))}",
+        ]
+    return argv
+
+
+@given(_query_argv())
+@settings(max_examples=300, deadline=5000)
+def test_fuzzed_queries_end_with_an_exit_code(argv):
+    # In-process, so any exception escaping main fails the test; the
+    # deadline bounds the time of every invocation.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)

@@ -3,7 +3,7 @@ import re
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treebed import (
     ColorMismatch,
@@ -166,6 +166,69 @@ class TestTreeDistance:
             # unit level jumps at least 1 per edge
             for a, b in zip(path, path[1:]):
                 assert abs(a.k - b.k) >= 1
+
+
+def _oracle_walk(P, u, v, scan_cap, parents):
+    """The meet loop, one parent_oracle hop at a time.
+
+    Returns the u-v path, or the (tip, k_reached) payload of the first scan
+    that would need more than scan_cap levels. A containing cube contains
+    the tip's center, whose lattice point at every lower level lies within
+    |gamma| + 2 of the origin, so that bound makes the oracle exhaustive.
+    """
+    left, right = [u], [v]
+    while left[-1] != right[-1]:
+        side = left if left[-1].k >= right[-1].k else right
+        tip = side[-1]
+        if tip not in parents:
+            bound = max(abs(g) for g in tip.gamma) + 2
+            parents[tip] = parent_oracle(P, tip, depth=64, bound=bound)
+        up = parents[tip]
+        if tip.k - up.k > scan_cap:
+            return tip, tip.k - scan_cap
+        side.append(up)
+    return left + right[-2::-1]
+
+
+_P1 = {p: validate_params(1, p) for p in (5, 8)}
+_cube1 = st.builds(
+    CubeId,
+    c=st.integers(0, 1),
+    k=st.integers(-3, 8),
+    gamma=st.tuples(st.integers(-60, 60)),
+)
+
+
+class TestAncestorKernel:
+    def test_frozen_counterexample_p8(self):
+        # (1,5,(-2,)) contains (1,7,(-52,)) but not its parent (1,6,(-7,)), so
+        # ancestors are not simply the containing cubes; a walk that jumps to
+        # them would answer 13.
+        P = _P1[8]
+        assert realize(P, CubeId(1, 5, (-2,))).contains_box(realize(P, CubeId(1, 7, (-52,))))
+        assert parent(P, CubeId(1, 7, (-52,))) == CubeId(1, 6, (-7,))
+        assert parent(P, CubeId(1, 6, (-7,))) == CubeId(1, 4, (-1,))
+        assert tree_distance(P, CubeId(1, -2, (5,)), CubeId(1, 7, (-52,))) == 12
+
+    @given(st.sampled_from([5, 8]), _cube1, _cube1)
+    @example(8, CubeId(1, -2, (5,)), CubeId(1, 7, (-52,)))
+    @settings(max_examples=120, deadline=None)
+    def test_walk_matches_parent_oracle(self, p, u, v):
+        P = _P1[p]
+        v = CubeId(u.c, v.k, v.gamma)
+        parents = {}
+        path = _oracle_walk(P, u, v, 64, parents)
+        assert tree_path(P, u, v) == path
+        assert tree_distance(P, u, v) == len(path) - 1
+        for cap in (1, 2, 3):
+            want = _oracle_walk(P, u, v, cap, parents)
+            if isinstance(want, list):
+                assert tree_distance(P, u, v, cap) == len(want) - 1
+                continue
+            for walk in (tree_distance, tree_path):
+                with pytest.raises(ScanExhausted) as exc:
+                    walk(P, u, v, cap)
+                assert (exc.value.cid, exc.value.k_reached) == want
 
 
 def _adjacency(edges):
