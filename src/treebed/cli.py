@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 check failed, 2 usage error, 3 resource/scan limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -280,6 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _apply_config(argv: list[str]) -> list[str]:
     # Flags win over config values: config entries are prepended as defaults
     # right after the subcommand token.
@@ -309,11 +316,14 @@ def _apply_config(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
     try:
         if "--config" in argv:
             argv = _apply_config(argv)
-        args = ap.parse_args(argv)
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits after --help (0) and after a usage error (2).
+            return EXIT_OK if exc.code == 0 else EXIT_USAGE
         return args.fn(args)
     except (_UsageError, InvalidParams, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

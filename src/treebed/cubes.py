@@ -30,8 +30,6 @@ from .core import (
     Rational,
     RationalBox,
     RationalVec,
-    boundary_margin,
-    box_gap_sq,
 )
 
 
@@ -206,32 +204,57 @@ def separation_verdict(P: Params, low: CubeId, high: CubeId) -> SeparationVerdic
     The higher-level (smaller) cube must either keep a gap of at least
     lam^{high.k+1} from the lower-level cube or sit inside it with at least
     that boundary margin; anything else is a violation.
+
+    Decided in the axis frame's integers: on the higher level's grid, in
+    units of 1/(D p^k) for k = high.k, each axis's outer slab is
+    [s(gD + C), s(gD + C) + sW] and its inner slab [g'D + C, g'D + C + W],
+    with s = p^(high.k - low.k), C = c*nu + lam - eta, W = D - 2*lam, after
+    the common offset eta*p^k is dropped. The bound lam^(k+1) is D/p of
+    these units at every level, so both tests are integer comparisons and
+    the only Fraction built is the returned witness. ``realize`` with
+    ``box_gap_sq`` and ``boundary_margin`` is the reference this is tested
+    against.
     """
     if low.c != high.c:
         raise ColorMismatch(f"colors {low.c} vs {high.c}")
     if low.k >= high.k:
         raise LevelOrder(f"need low.k < high.k, got {low.k} >= {high.k}")
-    outer = realize(P, low)
-    inner = realize(P, high)
-    bound = P.lam ** (high.k + 1)
-    gap_sq = box_gap_sq(outer, inner)
-    if gap_sq > 0:
+    _check_id(P, low)
+    _check_id(P, high)
+    F = axis_frame(P.n, P.p)
+    p, D, k = P.p, F.D, high.k
+    s = p ** (k - low.k)
+    shift = (s - 1) * (low.c * F.nu + F.lam - F.eta)  # (s-1)*C
+    W = D - 2 * F.lam
+    sW = s * W
+    gap2 = 0
+    margin = sW  # above every axis's margin
+    for g, h in zip(low.gamma, high.gamma):
+        a = (h - s * g) * D - shift  # inner slab start minus outer slab start
+        d = max(a - sW, -a - W, 0)
+        gap2 += d * d
+        margin = min(margin, a, sW - W - a)
+    up, dn = F.scale(k)  # one unit is up/(D*dn)
+    bound = Fraction(up, dn * p)  # lam^(k+1)
+    if gap2:
         kind = (
             SeparationKind.DISJOINT_FAR
-            if gap_sq >= bound * bound
+            if gap2 * p * p >= D * D
             else SeparationKind.VIOLATION
         )
+        gap_sq = Fraction(gap2 * up * up, (D * dn) ** 2)
         return SeparationVerdict(kind=kind, bound=bound, gap_sq=gap_sq)
-    margin = boundary_margin(outer, inner)
-    if margin is None:
+    if margin < 0:
         # Boxes overlap without containment: always a violation.
         return SeparationVerdict(
-            kind=SeparationKind.VIOLATION, bound=bound, gap_sq=gap_sq
+            kind=SeparationKind.VIOLATION, bound=bound, gap_sq=Fraction(0)
         )
     kind = (
-        SeparationKind.NESTED_DEEP if margin >= bound else SeparationKind.VIOLATION
+        SeparationKind.NESTED_DEEP if margin * p >= D else SeparationKind.VIOLATION
     )
-    return SeparationVerdict(kind=kind, bound=bound, margin=margin)
+    return SeparationVerdict(
+        kind=kind, bound=bound, margin=Fraction(margin * up, D * dn)
+    )
 
 
 @dataclass(frozen=True)

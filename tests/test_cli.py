@@ -223,6 +223,25 @@ def test_out_of_domain_input_exits_promptly(argv, code):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        # argparse reads -1,0,0 as an option, so --v has no value.
+        (["tree-dist", "--n", "1", "--p", "5", "--u", "0,0,0", "--v", "-1,0,0"], 2),
+        (["tree-dist", "--n", "1"], 2),
+        (["no-such-command"], 2),
+        (["--help"], 0),
+        (["tree-dist", "--help"], 0),
+    ],
+)
+def test_argparse_exits_are_returned(capsys, argv, code):
+    assert main(argv) == code
+    capsys.readouterr()
+    # The parser is reused, and a failed parse leaves it working.
+    query = ["tree-dist", "--n", "1", "--p", "5", "--u", "0,1,0", "--v", "0,0,0"]
+    assert run(capsys, *query) == (0, "1\n", "")
+
+
 def test_module_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "treebed", "tree-dist", "--n", "1", "--p", "5",

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treebed import (
     ColorMismatch,
@@ -13,6 +13,7 @@ from treebed import (
     RationalBox,
     ResourceLimit,
     SeparationKind,
+    SeparationVerdict,
     boundary_margin,
     box_gap_sq,
     locate,
@@ -207,6 +208,87 @@ class TestSeparationVerdict:
             low = CubeId(c, min(k1, k2), g())
             high = CubeId(c, max(k1, k2), g())
             assert separation_verdict(p7, low, high).kind is not SeparationKind.VIOLATION
+
+
+def _reference_verdict(P, low, high):
+    """separation_verdict from the realized boxes and the core box predicates."""
+    if low.c != high.c:
+        raise ColorMismatch(f"colors {low.c} vs {high.c}")
+    if low.k >= high.k:
+        raise LevelOrder(f"need low.k < high.k, got {low.k} >= {high.k}")
+    outer, inner = realize(P, low), realize(P, high)
+    bound = P.lam ** (high.k + 1)
+    gap_sq = box_gap_sq(outer, inner)
+    if gap_sq > 0:
+        far = gap_sq >= bound * bound
+        kind = SeparationKind.DISJOINT_FAR if far else SeparationKind.VIOLATION
+        return SeparationVerdict(kind=kind, bound=bound, gap_sq=gap_sq)
+    margin = boundary_margin(outer, inner)
+    if margin is None:
+        return SeparationVerdict(kind=SeparationKind.VIOLATION, bound=bound, gap_sq=gap_sq)
+    deep = margin >= bound
+    kind = SeparationKind.NESTED_DEEP if deep else SeparationKind.VIOLATION
+    return SeparationVerdict(kind=kind, bound=bound, margin=margin)
+
+
+def _outcome(fn, P, low, high):
+    try:
+        return fn(P, low, high)
+    except (ValueError, ResourceLimit) as exc:
+        return type(exc), str(exc)
+
+
+# (1,8) and (2,8) are where nested draws give violations.
+_SEPARATION_PARAMS = {
+    np: validate_params(*np) for np in [(1, 5), (1, 8), (2, 7), (2, 8), (3, 9)]
+}
+
+
+@st.composite
+def _separation_case(draw):
+    """A same-color pair at levels -8..6: the higher lattice point drawn
+    independently, or under the lower cube's footprint (s*g + r) with r
+    uniform or at the footprint's edges."""
+    n, p = draw(st.sampled_from(sorted(_SEPARATION_PARAMS)))
+    k_low = draw(st.integers(-8, 5))
+    k_high = draw(st.integers(k_low + 1, 6))
+    c = draw(st.integers(0, n))
+    lattice = st.integers(-p**3, p**3)
+    low = tuple(draw(lattice) for _ in range(n))
+    s = p ** (k_high - k_low)
+    if draw(st.booleans()):
+        high = tuple(draw(lattice) for _ in range(n))
+    else:
+        edges = st.sampled_from([-1, 0, 1, s - 2, s - 1, s])
+        offset = st.one_of(st.integers(0, s - 1), edges)
+        high = tuple(s * g + draw(offset) for g in low)
+    return _SEPARATION_PARAMS[n, p], CubeId(c, k_low, low), CubeId(c, k_high, high)
+
+
+def _case(n, p, low, high):
+    return _SEPARATION_PARAMS[n, p], CubeId(*low), CubeId(*high)
+
+
+@given(_separation_case())
+@settings(max_examples=400, deadline=None)
+# Exact bounds: gap exactly lam^2 and margin exactly lam^2 at level 1, and
+# the same at level -1, where the unit's power of p is in the numerator.
+@example(_case(1, 5, (0, 0, (0,)), (0, 1, (3,))))
+@example(_case(1, 5, (0, 0, (0,)), (0, 1, (0,))))
+@example(_case(1, 5, (0, -2, (0,)), (0, -1, (3,))))
+@example(_case(1, 5, (0, -2, (0,)), (0, -1, (0,))))
+# Overlapping without nesting: a violation with gap_sq == 0.
+@example(_case(2, 8, (1, -2, (18, -28)), (1, -1, (152, -218))))
+# Error order: colors, then levels, then the lower id, then the higher id.
+@example(_case(1, 5, (0, 1, (0,)), (1, 0, (0,))))
+@example(_case(1, 5, (2, 1, (0, 0)), (2, 0, (0,))))
+@example(_case(1, 5, (0, 0, (0, 0)), (0, 10**6, (0,))))
+@example(_case(1, 5, (0, 0, (0,)), (0, 442, (0,))))
+def test_separation_verdict_matches_box_reference(case):
+    P, low, high = case
+    assert _outcome(separation_verdict, P, low, high) == _outcome(
+        _reference_verdict, P, low, high
+    )
 
 
 def test_same_level_disjoint_with_exact_gap(p5):
