@@ -159,6 +159,8 @@ def _cmd_check_separation(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.threads < 1:
+        raise _UsageError(f"--threads must be >= 1, got {args.threads}")
     P = validate_params(args.n, args.p)
     plan = SamplePlan(
         region=_parse_region(args.region) if args.region else default_region(P),
@@ -171,7 +173,6 @@ def _cmd_verify(args) -> int:
         sample_pairs(P, plan),
         norm=args.norm,
         scan_cap=args.scan_cap,
-        threads=args.threads,
         plan=plan,
     )
     fitted = fit_qi_constants(report)
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategy", default="uniform")
     sp.add_argument("--norm", default="l1", choices=NORMS)
     sp.add_argument("--csv", help="also write per-pair rows to this CSV file")
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1, help="no effect; must be >= 1")
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("export-subtree", help="DOT/JSON subtree spanning ids")

@@ -36,7 +36,9 @@ class Params:
 
     * ``a = 1 - 2/p``   side length of the template cube,
     * ``lam = 1/p``     per-level contraction ratio,
-    * ``nu``            diagonal color shift, every entry 1/(n+1),
+    * ``nu``            every entry 1/(n+1); color c is shifted along the
+                        diagonal by m_c/(p-1), m_c = floor(c(p-1)/(n+1)),
+                        which is c*nu exactly when (n+1) divides p-1,
     * ``eta0``          fixed point of the expansion H, every entry 1/(p-1),
     * ``sigma = ln p``  metric rescaling (the one approximate constant).
 

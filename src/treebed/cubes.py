@@ -4,13 +4,16 @@ The pattern of color c at level k is a lattice family of closed cubes in
 R^n. A cube is identified symbolically by (c, k, gamma) and realizes to the
 exact rational box
 
-    H^{-k}(gamma + c*nu + A),   A = [1/p, 1 - 1/p]^n,
+    H^{-k}(gamma + s_c + A),   A = [1/p, 1 - 1/p]^n,
 
 where H(x) = p*(x - eta) is the lattice expansion and
 H^{-k}(x) = p^{-k} * (x - eta0) + eta0 is its inverse iterate expressed
-through the fixed point eta0. Level-k cubes have side a*p^{-k} and repeat
-with period p^{-k} along every axis, so the same-level family of one color
-is pairwise disjoint with axis gaps of exactly 2*p^{-(k+1)}.
+through the fixed point eta0, and s_c = m_c/(p-1), m_c = floor(c(p-1)/(n+1)),
+is color c's diagonal shift (c/(n+1) whenever (n+1) divides p-1). Level-k
+cubes have side a*p^{-k} and repeat with period p^{-k} along every axis, so
+the same-level family of one color is pairwise disjoint with axis gaps of
+exactly 2*p^{-(k+1)}. As s_c is a multiple of 1/(p-1), H^{-1} maps lattice
+points to lattice points, so same-color cubes are nested or separated.
 """
 
 from __future__ import annotations
@@ -89,16 +92,16 @@ def _check_id(P: Params, cid: CubeId) -> None:
 @dataclass(frozen=True)
 class AxisFrame:
     """The per-axis map of the cube patterns in scaled integers: coordinate x
-    has lattice position u = p^k (x - e) + e - c/(n+1), e = 1/(p-1), and
+    has lattice position u = p^k (x - e) + e - m_c/(p-1), e = 1/(p-1), and
     lattice point g's slab is g + 1/p <= u <= g + 1 - 1/p. All constants are
-    integer multiples of 1/D, D = p(p-1)(n+1), and the frame keeps those."""
+    integer multiples of 1/D, D = p(p-1), and the frame keeps those."""
 
     n: int
     p: int
     D: int
     lam: int  # 1/p = lam/D
     eta: int  # e = eta/D
-    nu: int  # c/(n+1) = c*nu/D
+    m: tuple[int, ...]  # color c's shift m[c]/(p-1) is m[c]*eta/D
 
     def scale(self, k: int) -> tuple[int, int]:
         """(up, dn), non-negative powers of p with p^-k = up/dn."""
@@ -107,7 +110,7 @@ class AxisFrame:
     def slab(self, c: int, k: int, g: int) -> tuple[Fraction, Fraction]:
         """Exact closed slab of lattice point g on one axis at color c, level k."""
         up, dn = self.scale(k)
-        lo = up * (g * self.D + c * self.nu - self.eta + self.lam) + self.eta * dn
+        lo = up * (g * self.D + (self.m[c] - 1) * self.eta + self.lam) + self.eta * dn
         den = self.D * dn
         return Fraction(lo, den), Fraction(lo + up * (self.D - 2 * self.lam), den)
 
@@ -117,7 +120,7 @@ class AxisFrame:
             raise DimensionMismatch(f"expected dimension {self.n}, got {len(x)}")
         up, dn = self.scale(k)
         D, eta = self.D, self.eta
-        shift = up * (eta - c * self.nu)
+        shift = up * eta * (1 - self.m[c])
         out = []
         for xi in x:
             a, b = (xi if isinstance(xi, float) else Fraction(xi)).as_integer_ratio()
@@ -129,8 +132,8 @@ class AxisFrame:
 @functools.lru_cache(maxsize=64)
 def axis_frame(n: int, p: int) -> AxisFrame:
     """The axis frame of the patterns with parameters (n, p)."""
-    q, n1 = p - 1, n + 1
-    return AxisFrame(n=n, p=p, D=p * q * n1, lam=q * n1, eta=p * n1, nu=p * q)
+    m = tuple(c * (p - 1) // (n + 1) for c in range(n + 1))
+    return AxisFrame(n=n, p=p, D=p * (p - 1), lam=p - 1, eta=p, m=m)
 
 
 def realize(P: Params, cid: CubeId) -> RationalBox:
@@ -208,7 +211,7 @@ def separation_verdict(P: Params, low: CubeId, high: CubeId) -> SeparationVerdic
     Decided in the axis frame's integers: on the higher level's grid, in
     units of 1/(D p^k) for k = high.k, each axis's outer slab is
     [s(gD + C), s(gD + C) + sW] and its inner slab [g'D + C, g'D + C + W],
-    with s = p^(high.k - low.k), C = c*nu + lam - eta, W = D - 2*lam, after
+    with s = p^(high.k - low.k), C = (m_c - 1)*eta + lam, W = D - 2*lam, after
     the common offset eta*p^k is dropped. The bound lam^(k+1) is D/p of
     these units at every level, so both tests are integer comparisons and
     the only Fraction built is the returned witness. ``realize`` with
@@ -224,7 +227,7 @@ def separation_verdict(P: Params, low: CubeId, high: CubeId) -> SeparationVerdic
     F = axis_frame(P.n, P.p)
     p, D, k = P.p, F.D, high.k
     s = p ** (k - low.k)
-    shift = (s - 1) * (low.c * F.nu + F.lam - F.eta)  # (s-1)*C
+    shift = (s - 1) * ((F.m[low.c] - 1) * F.eta + F.lam)  # (s-1)*C
     W = D - 2 * F.lam
     sW = s * W
     gap2 = 0
@@ -294,20 +297,22 @@ def verify_covering_level0(
 ) -> CoveringReport:
     """Exact decision: do the level-0 patterns of the given colors cover R^n?
 
-    Every level-0 pattern boundary is a multiple of 1/lcm(p, n+1), so on the
-    unit torus the grid with that step is pattern-aligned: each grid cell
-    lies entirely inside or outside each color's closed pattern, and the
-    cell center (never on the grid itself) decides membership for the whole
-    cell. The patterns are axis products, so membership factors through a
-    per-axis table; the test is exhaustive, not sampled. Covering at level 0
-    implies covering at every level because level sets are images of the
-    level-0 set under iterates of the expansion H.
+    Every level-0 pattern boundary is a multiple of 1/m, m = lcm(p, the
+    denominators of the shifts m_c/(p-1)), so on the unit torus the grid
+    with step 1/m is pattern-aligned: each grid cell lies entirely inside or
+    outside each color's closed pattern, and the cell center (never on the
+    grid itself) decides membership for the whole cell. The patterns are
+    axis products, so membership factors through a per-axis table; the test
+    is exhaustive, not sampled. Covering at level 0 implies covering at
+    every level because level sets are images of the level-0 set under
+    iterates of the expansion H.
     """
     cols = tuple(P.colors) if colors is None else tuple(colors)
     for c in cols:
         if not 0 <= c <= P.n:
             raise ColorMismatch(f"color {c} outside 0..{P.n}")
-    m = math.lcm(P.p, P.n + 1)
+    shifts = (Fraction(mc, P.p - 1) for mc in axis_frame(P.n, P.p).m)
+    m = math.lcm(P.p, *(s.denominator for s in shifts))
     total = m**P.n
     if total > cell_budget:
         raise ResourceLimit(

@@ -45,37 +45,33 @@ class ScanExhausted(RuntimeError):
 def _ancestors(P: Params, cid: CubeId, scan_cap: int) -> Iterator[tuple]:
     """Same-color ancestors of cid as (k, gamma) pairs, nearest first.
 
-    cid must have passed _check_id. Each scan starts at the current tip and tries levels j = k-1, k-2, ...,
-    k - scan_cap. Per axis, in the axis frame's units, with m = k - j,
-    G = gamma_i*D and C = c*nu + lam - eta, the division
-    G - (p^m-1)*C = g'*p^m*D + r finds the level-j slab g' whose lower end
-    is the last at or below the tip's; the tip's slab fits in it iff
-    r <= (p^m-1)*(D - 2*lam), and no other same-level slab can hold it.
+    cid must have passed _check_id. Level j-1 sees level j's lattice
+    position u at (u + 1 - m_c)/p, so per axis q, r = divmod(g + 1 - m_c, p)
+    puts cell g in cell q one level down, and the cube has an ancestor there
+    iff 1 <= r <= p-2 on every axis. A hop tries at most scan_cap levels.
     """
     if scan_cap < 1:
         raise ValueError("scan_cap must be positive")
     F = axis_frame(P.n, P.p)
-    p, D = F.p, F.D
-    C, side = cid.c * F.nu + F.lam - F.eta, D - 2 * F.lam
-    k, gamma = cid.k, cid.gamma
+    p, top, lift = F.p, F.p - 2, 1 - F.m[cid.c]
+    k, tip = cid.k, cid.gamma
     while True:
-        scaled = [g * D for g in gamma]
-        pm = 1
-        for m in range(1, scan_cap + 1):
-            pm *= p
-            width, shift, slack = pm * D, (pm - 1) * C, (pm - 1) * side
-            out = []
-            for G in scaled:
-                g, r = divmod(G - shift, width)
-                if r > slack:
-                    break
-                out.append(g)
-            else:
-                k, gamma = k - m, tuple(out)
-                yield k, gamma
+        gamma, j = tip, k
+        while True:
+            j -= 1
+            cells, inside = [], True
+            for g in gamma:
+                q, r = divmod(g + lift, p)
+                cells.append(q)
+                if not 1 <= r <= top:
+                    inside = False
+            gamma = tuple(cells)
+            if inside:
                 break
-        else:
-            raise ScanExhausted(CubeId(cid.c, k, gamma), k - scan_cap)
+            if j == k - scan_cap:
+                raise ScanExhausted(CubeId(cid.c, k, tip), j)
+        k, tip = j, gamma
+        yield k, tip
 
 
 def parent(P: Params, cid: CubeId, scan_cap: int = 64) -> CubeId:
@@ -112,16 +108,33 @@ def _meet(P: Params, u: CubeId, v: CubeId, scan_cap: int) -> tuple[list, list]:
         raise ColorMismatch(f"colors {u.c} vs {v.c}")
     _check_id(P, u)
     _check_id(P, v)
+    F = axis_frame(P.n, P.p)
+    p, top, lift = F.p, F.p - 2, 1 - F.m[u.c]
     a, b = (u.k, u.gamma), (v.k, v.gamma)
     left, right = [a], [b]
-    up_u, up_v = _ancestors(P, u, scan_cap), _ancestors(P, v, scan_cap)
+    if scan_cap < 1 and a != b:
+        raise ValueError("scan_cap must be positive")
     while a != b:
-        if a[0] >= b[0]:
-            a = next(up_u)
-            left.append(a)
+        up_u = a[0] >= b[0]
+        k, tip = a if up_u else b
+        gamma, j = tip, k
+        while True:
+            j -= 1
+            cells, inside = [], True
+            for g in gamma:
+                q, r = divmod(g + lift, p)
+                cells.append(q)
+                if not 1 <= r <= top:
+                    inside = False
+            gamma = tuple(cells)
+            if inside:
+                break
+            if j == k - scan_cap:
+                raise ScanExhausted(CubeId(u.c, k, tip), j)
+        if up_u:
+            left.append(a := (j, gamma))
         else:
-            b = next(up_v)
-            right.append(b)
+            right.append(b := (j, gamma))
     return left, right
 
 

@@ -17,7 +17,6 @@ import json
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -218,32 +217,14 @@ def evaluate_pairs(
     norm: str = "l1",
     scan_cap: int = 64,
     level: int | None = None,
-    threads: int = 1,
     plan: SamplePlan | None = None,
 ) -> DistortionReport:
-    """Measure every pair; fit fields stay empty.
-
-    Per-pair work is pure, so the threaded path merges chunks in order and
-    the result is identical to the serial one.
-    """
+    """Measure every pair, in order; fit fields stay empty."""
     if not pairs:
         raise DegenerateSample("no pairs to evaluate")
     norm = norm.lower()
     start = time.perf_counter()
-    if threads > 1:
-        chunks = [pairs[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(
-                pool.map(
-                    lambda ch: [_eval_one(P, pr, norm, scan_cap, level) for pr in ch],
-                    chunks,
-                )
-            )
-        samples: list[PairSample] = [None] * len(pairs)  # type: ignore[list-item]
-        for ci, chunk in enumerate(done):
-            samples[ci::threads] = chunk
-    else:
-        samples = [_eval_one(P, pr, norm, scan_cap, level) for pr in pairs]
+    samples = [_eval_one(P, pr, norm, scan_cap, level) for pr in pairs]
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return DistortionReport(
         n=P.n,
@@ -402,7 +383,6 @@ def stability_probe(
     norm: str = "l1",
     m_grid: Sequence[float] | None = None,
     level: int | None = None,
-    threads: int = 1,
     scan_cap: int = 64,
 ) -> TrendReport:
     """Fit the envelope on scaled copies of the base region.
@@ -429,7 +409,6 @@ def stability_probe(
             norm=norm,
             scan_cap=scan_cap,
             level=level,
-            threads=threads,
             plan=plan,
         )
         fitted = fit_qi_constants(report, m_grid)

@@ -210,6 +210,7 @@ class TestVerify:
         (["check-separation", "--level-max", "1000000000"], 3),
         (["export-subtree", "--id=0,-440,1000000000000"], 3),
         (["tree-dist", "--u", "0,0,0", "--v=0,-1000000000,0"], 3),
+        (["verify", "--samples", "10", "--threads", "0"], 2),
     ],
 )
 def test_out_of_domain_input_exits_promptly(argv, code):

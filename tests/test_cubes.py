@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from treebed import (
     ColorMismatch,
     CubeId,
+    InvalidParams,
     LevelOrder,
     RationalBox,
     ResourceLimit,
@@ -23,6 +24,7 @@ from treebed import (
     validate_params,
     verify_covering_level0,
 )
+from treebed.cubes import axis_frame
 
 
 class TestRealize:
@@ -238,7 +240,7 @@ def _outcome(fn, P, low, high):
         return type(exc), str(exc)
 
 
-# (1,8) and (2,8) are where nested draws give violations.
+# (1,8) and (2,8) shift their colors by m_c/(p-1), not by c/(n+1).
 _SEPARATION_PARAMS = {
     np: validate_params(*np) for np in [(1, 5), (1, 8), (2, 7), (2, 8), (3, 9)]
 }
@@ -277,7 +279,8 @@ def _case(n, p, low, high):
 @example(_case(1, 5, (0, 0, (0,)), (0, 1, (0,))))
 @example(_case(1, 5, (0, -2, (0,)), (0, -1, (3,))))
 @example(_case(1, 5, (0, -2, (0,)), (0, -1, (0,))))
-# Overlapping without nesting: a violation with gap_sq == 0.
+# A (2,8) pair that overlapped without nesting when color c was shifted by
+# c/(n+1); shifted by m_c/(p-1), its gap is exactly the bound.
 @example(_case(2, 8, (1, -2, (18, -28)), (1, -1, (152, -218))))
 # Error order: colors, then levels, then the lower id, then the higher id.
 @example(_case(1, 5, (0, 1, (0,)), (1, 0, (0,))))
@@ -289,6 +292,41 @@ def test_separation_verdict_matches_box_reference(case):
     assert _outcome(separation_verdict, P, low, high) == _outcome(
         _reference_verdict, P, low, high
     )
+
+
+def _accepted_params(n_max, p_max):
+    for n, p in product(range(1, n_max + 1), range(2, p_max + 1)):
+        try:
+            yield validate_params(n, p)
+        except InvalidParams:
+            pass
+
+
+@pytest.mark.parametrize(
+    "P", list(_accepted_params(3, 15)), ids=lambda P: f"n{P.n}p{P.p}"
+)
+def test_nested_draws_never_violate(P):
+    # Same-color cubes of different levels are nested or separated at every
+    # accepted (n, p); the draw is separation-n2p7's nested one.
+    n, p = P.n, P.p
+    rng = random.Random(f"laminar/{n}/{p}")
+    for _ in range(3000):
+        k1 = k2 = 0
+        while k1 == k2:
+            k1, k2 = rng.randint(-3, 4), rng.randint(-3, 4)
+        s = p ** abs(k1 - k2)
+        c = rng.randint(0, n)
+        low = tuple(rng.randint(-p**3, p**3) for _ in range(n))
+        high = tuple(s * g + rng.randrange(s) for g in low)
+        verdict = separation_verdict(
+            P, CubeId(c, min(k1, k2), low), CubeId(c, max(k1, k2), high)
+        )
+        assert verdict.kind is not SeparationKind.VIOLATION, (low, high)
+    # Where (n+1) | (p-1) the shift is the diagonal c/(n+1) of the benchmark
+    # and acceptance settings (1,5), (2,7) and (3,9).
+    if (p - 1) % (n + 1) == 0:
+        shifts = [F(m, p - 1) for m in axis_frame(n, p).m]
+        assert shifts == [F(c, n + 1) for c in P.colors]
 
 
 def test_same_level_disjoint_with_exact_gap(p5):

@@ -1,6 +1,7 @@
 import json
 import re
 from collections import deque
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,8 +25,8 @@ def parent_oracle(P, cid, depth=8, bound=60):
     """Exhaustive containment scan over levels and lattice points."""
     box = realize(P, cid)
     for j in range(cid.k - 1, cid.k - 1 - depth, -1):
-        for g in range(-bound, bound + 1):
-            cand = CubeId(cid.c, j, (g,))
+        for g in product(range(-bound, bound + 1), repeat=P.n):
+            cand = CubeId(cid.c, j, g)
             if realize(P, cand).contains_box(box):
                 return cand
     return None
@@ -190,45 +191,66 @@ def _oracle_walk(P, u, v, scan_cap, parents):
     return left + right[-2::-1]
 
 
-_P1 = {p: validate_params(1, p) for p in (5, 8)}
+_PARAMS = {np: validate_params(*np) for np in [(1, 5), (1, 6), (1, 8), (2, 7), (2, 8)]}
 _cube1 = st.builds(
     CubeId,
     c=st.integers(0, 1),
     k=st.integers(-3, 8),
     gamma=st.tuples(st.integers(-60, 60)),
 )
+_cube2 = st.builds(
+    CubeId,
+    c=st.integers(0, 2),
+    k=st.integers(-2, 5),
+    gamma=st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+)
+
+
+def _check_walk_against_oracle(P, u, v):
+    v = CubeId(u.c, v.k, v.gamma)
+    parents = {}
+    path = _oracle_walk(P, u, v, 64, parents)
+    assert tree_path(P, u, v) == path
+    assert tree_distance(P, u, v) == len(path) - 1
+    for cap in (1, 2, 3):
+        want = _oracle_walk(P, u, v, cap, parents)
+        if isinstance(want, list):
+            assert tree_distance(P, u, v, cap) == len(want) - 1
+            continue
+        for walk in (tree_distance, tree_path):
+            with pytest.raises(ScanExhausted) as exc:
+                walk(P, u, v, cap)
+            assert (exc.value.cid, exc.value.k_reached) == want
 
 
 class TestAncestorKernel:
     def test_frozen_counterexample_p8(self):
-        # (1,5,(-2,)) contains (1,7,(-52,)) but not its parent (1,6,(-7,)), so
-        # ancestors are not simply the containing cubes; a walk that jumps to
-        # them would answer 13.
-        P = _P1[8]
-        assert realize(P, CubeId(1, 5, (-2,))).contains_box(realize(P, CubeId(1, 7, (-52,))))
-        assert parent(P, CubeId(1, 7, (-52,))) == CubeId(1, 6, (-7,))
-        assert parent(P, CubeId(1, 6, (-7,))) == CubeId(1, 4, (-1,))
-        assert tree_distance(P, CubeId(1, -2, (5,)), CubeId(1, 7, (-52,))) == 12
+        # The former counterexample at (1,8): with color 1 shifted by 1/2,
+        # (1,5,(-2,)) contained (1,7,(-52,)) but not its parent (1,6,(-7,)).
+        # Shifted by 3/7, the ancestors are exactly the containing cubes:
+        # no level-5 cube contains the tip, and the chain nests.
+        P = _PARAMS[1, 8]
+        tip = CubeId(1, 7, (-52,))
+        chain = ancestor_chain(P, tip, -3)
+        assert [(a.k, a.gamma) for a in chain] == [(7, (-52,)), (6, (-7,))] + [
+            (k, (-1,)) for k in range(4, -4, -1)
+        ]
+        for a, b in zip(chain, chain[1:]):
+            assert realize(P, b).contains_box(realize(P, a))
+            assert parent_oracle(P, a) == b
+        assert not realize(P, CubeId(1, 5, (-2,))).contains_box(realize(P, tip))
+        assert tree_distance(P, CubeId(1, -2, (5,)), tip) == 12
 
-    @given(st.sampled_from([5, 8]), _cube1, _cube1)
+    @given(st.sampled_from([5, 6, 8]), _cube1, _cube1)
     @example(8, CubeId(1, -2, (5,)), CubeId(1, 7, (-52,)))
     @settings(max_examples=120, deadline=None)
     def test_walk_matches_parent_oracle(self, p, u, v):
-        P = _P1[p]
-        v = CubeId(u.c, v.k, v.gamma)
-        parents = {}
-        path = _oracle_walk(P, u, v, 64, parents)
-        assert tree_path(P, u, v) == path
-        assert tree_distance(P, u, v) == len(path) - 1
-        for cap in (1, 2, 3):
-            want = _oracle_walk(P, u, v, cap, parents)
-            if isinstance(want, list):
-                assert tree_distance(P, u, v, cap) == len(want) - 1
-                continue
-            for walk in (tree_distance, tree_path):
-                with pytest.raises(ScanExhausted) as exc:
-                    walk(P, u, v, cap)
-                assert (exc.value.cid, exc.value.k_reached) == want
+        _check_walk_against_oracle(_PARAMS[1, p], u, v)
+
+    @given(st.sampled_from([7, 8]), _cube2, _cube2)
+    @settings(max_examples=40, deadline=None)
+    def test_walk_matches_parent_oracle_n2(self, p, u, v):
+        _check_walk_against_oracle(_PARAMS[2, p], u, v)
 
 
 def _adjacency(edges):

@@ -107,12 +107,6 @@ class TestEvaluatePairs:
         with pytest.raises(ValueError, match="norm"):
             evaluate_pairs(p5, pairs, norm="l3")
 
-    def test_threads_match_serial(self, p5):
-        pairs = sample_pairs(p5, small_plan(count=60))
-        serial = evaluate_pairs(p5, pairs)
-        threaded = evaluate_pairs(p5, pairs, threads=4)
-        assert serial.samples == threaded.samples
-
     def test_scan_exhausted_carries_pair(self, p5):
         z = HoroPoint(1.0, (0.9,))
         zp = HoroPoint(1.0, (0.2,))
