@@ -24,8 +24,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Sequence
+from itertools import combinations, islice, product
+from typing import Iterator, Sequence
 
 from .core import (
     DimensionMismatch,
@@ -114,19 +114,19 @@ class AxisFrame:
         den = self.D * dn
         return Fraction(lo, den), Fraction(lo + up * (self.D - 2 * self.lam), den)
 
-    def positions(self, c: int, k: int, x: Sequence) -> list[tuple[int, int, int]]:
-        """Exact lattice position of x per axis as (g, r, den): u = g + r/den."""
+    def positions(self, c: int, k: int, x: Sequence) -> Iterator[tuple[int, int]]:
+        """Exact lattice position u = num/den of x per axis, as (num, den)
+        with den > 0, computed lazily axis by axis."""
         if len(x) != self.n:
             raise DimensionMismatch(f"expected dimension {self.n}, got {len(x)}")
         up, dn = self.scale(k)
-        D, eta = self.D, self.eta
-        shift = up * eta * (1 - self.m[c])
-        out = []
+        # With x = a/b: num = a*A + b*B and den = b*C.
+        A = self.D * dn
+        B = self.eta * (up * (1 - self.m[c]) - dn)
+        C = self.D * up
         for xi in x:
             a, b = (xi if isinstance(xi, float) else Fraction(xi)).as_integer_ratio()
-            den = D * b * up
-            out.append((*divmod(dn * (a * D - eta * b) + shift * b, den), den))
-        return out
+            yield a * A + b * B, b * C
 
 
 @functools.lru_cache(maxsize=64)
@@ -154,9 +154,12 @@ def locate(
     gap return None.
     """
     p = P.p
-    positions = axis_frame(P.n, p).positions(c, k, x)
-    if all(den <= p * r <= (p - 1) * den for _, r, den in positions):
-        return CubeId(c, k, tuple(g for g, _, _ in positions))
+    cells = [
+        (*divmod(num, den), den)
+        for num, den in axis_frame(P.n, p).positions(c, k, x)
+    ]
+    if all(den <= p * r <= (p - 1) * den for _, r, den in cells):
+        return CubeId(c, k, tuple(g for g, _, _ in cells))
     return None
 
 
@@ -172,8 +175,10 @@ def nearest_in_level(
     exactly for lattice positions in (g, g+1], as the gaps' midpoints are
     the integers.
     """
-    positions = axis_frame(P.n, P.p).positions(c, k, x)
-    return CubeId(c, k, tuple(g - (r == 0) for g, r, _ in positions))
+    gamma = []
+    for num, den in axis_frame(P.n, P.p).positions(c, k, x):
+        gamma.append((num - 1) // den)  # the g with g < u <= g + 1
+    return CubeId(c, k, tuple(gamma))
 
 
 class SeparationKind(enum.Enum):
@@ -302,10 +307,13 @@ def verify_covering_level0(
     with step 1/m is pattern-aligned: each grid cell lies entirely inside or
     outside each color's closed pattern, and the cell center (never on the
     grid itself) decides membership for the whole cell. The patterns are
-    axis products, so membership factors through a per-axis table; the test
-    is exhaustive, not sampled. Covering at level 0 implies covering at
-    every level because level sets are images of the level-0 set under
-    iterates of the expansion H.
+    axis products, so membership factors through a per-axis table, and the
+    uncovered cells are counted by inclusion-exclusion over color subsets S,
+    sum_S (-1)^|S| t_S^n with t_S the number of axis cells in every color of
+    S: O(2^(n+1) m) work, exact, not sampled. Cells are enumerated, in
+    lexicographic order, only to collect witnesses. Covering at level 0
+    implies covering at every level because level sets are images of the
+    level-0 set under iterates of the expansion H.
     """
     cols = tuple(P.colors) if colors is None else tuple(colors)
     for c in cols:
@@ -323,15 +331,20 @@ def verify_covering_level0(
     axis_cov = {
         c: [locate(P, c, 0, (x,) * P.n) is not None for x in centers] for c in cols
     }
-    uncovered = 0
-    witnesses: list[RationalVec] = []
-    for cell in product(range(m), repeat=P.n):
-        if not any(all(axis_cov[c][i] for i in cell) for c in cols):
-            uncovered += 1
-            if len(witnesses) < max_witnesses:
-                witnesses.append(
-                    tuple(Fraction(2 * i + 1, 2 * m) for i in cell)
-                )
+    uncovered = 0  # inclusion-exclusion over subsets of the distinct colors
+    for size in range(len(axis_cov) + 1):
+        for S in combinations(axis_cov, size):
+            t_S = sum(all(axis_cov[c][i] for c in S) for i in range(m))
+            uncovered += (-1) ** size * t_S**P.n
+    gaps = (
+        cell
+        for cell in product(range(m), repeat=P.n)
+        if not any(all(axis_cov[c][i] for i in cell) for c in cols)
+    )
+    witnesses = [
+        tuple(centers[i] for i in cell)
+        for cell in islice(gaps, min(uncovered, max(max_witnesses, 0)))
+    ]
     return CoveringReport(
         n=P.n,
         p=P.p,

@@ -57,9 +57,15 @@ def embed_color(P: Params, z: HoroPoint, c: int, level: int | None = None) -> Cu
 
 def embed(P: Params, z: HoroPoint, level: int | None = None) -> EmbeddedPoint:
     """Image of z under every color map. ``level`` overrides the rounded
-    level; it exists for negative-control experiments, not for normal use."""
+    level; it exists for negative-control experiments, not for normal use.
+
+    Raises:
+        ResourceLimit: as for ``embed_color``.
+    """
+    k = embedding_level(z) if level is None else level
+    check_level(P, k)
     return EmbeddedPoint(
-        images=tuple(embed_color(P, z, c, level) for c in P.colors),
+        images=tuple(nearest_in_level(P, c, k, z.x) for c in P.colors),
         source=z,
     )
 

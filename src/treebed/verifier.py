@@ -17,6 +17,7 @@ import json
 import math
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -263,9 +264,21 @@ def fit_qi_constants(
     latter only where d_tree > 0; the slope is floored at 1, the smallest
     slope a quasi-isometry can have. The grid point minimizing the slope
     wins, ties to the smaller m.
+
+    Every divisor is positive and float subtraction and division round
+    monotonically, so the slope is non-increasing in m: the minimal slope is
+    the one at the grid's largest m, and the m kept is the smallest grid
+    point reaching it, found by bisection (at most 7 slope evaluations on
+    the default 51-point grid). So the default grid always reports the
+    slope at m = 50, which is the floor 1 whenever every fitted pair has
+    |d_tree - d_hyp| <= 50.
+
+    Raises:
+        ValueError: m_grid is empty or holds a non-finite entry.
     """
-    if m_grid is None:
-        m_grid = [float(m) for m in range(51)]
+    grid = [float(m) for m in range(51)] if m_grid is None else list(m_grid)
+    if not grid or not all(math.isfinite(m) for m in grid):
+        raise ValueError(f"m_grid must be non-empty and finite, got {m_grid!r}")
     fitting = [s for s in report.samples if s.d_hyp >= MIN_FIT_DHYP]
     if not fitting:
         raise DegenerateSample(
@@ -275,12 +288,15 @@ def fit_qi_constants(
     operands = [(s.d_tree, s.d_hyp) for s in fitting] + [
         (s.d_hyp, s.d_tree) for s in fitting if s.d_tree > 0
     ]
-    best: tuple[float, float] | None = None
-    for m in m_grid:
-        l = max(1.0, max([(a - m) / b for a, b in operands]))
-        if best is None or (l, m) < best:
-            best = (l, m)
-    l, m = best
+
+    def slope(m: float) -> float:
+        return max(1.0, max([(a - m) / b for a, b in operands]))
+
+    # The sort is stable, so among equal grid values the first one listed is
+    # kept, as a scan would keep it.
+    grid.sort()
+    l = slope(grid[-1])
+    m = grid[bisect_left(grid, True, hi=len(grid) - 1, key=lambda m: slope(m) <= l)]
     return dataclasses.replace(
         report, l=l, m=m, violations=count_violations(report.samples, l, m)
     )

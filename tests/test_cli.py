@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -193,6 +195,29 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads((tmp_path / "r2.json").read_text())["n_samples"] == 30
+
+    # SHA-256 of the per-pair CSV of `verify --samples 500 --seed 1`, d_hyp
+    # column left out (it goes through libm): the sampled points, the tree
+    # distances and the per-color distances are pinned exactly.
+    @pytest.mark.parametrize(
+        "n,p,digest",
+        [
+            (1, 5, "95bfe8f37492300d412de9c97c7ae37f4ebb46a4d59f79173e1cc6c00b0c48fc"),
+            (2, 7, "bae614f23026da4c78bb3a308cdbd447aed386f61e158480959a1f0cec4cd2c7"),
+            (3, 9, "42ad6c19fa87ba4215119195088001204ae9c5211f3461acdae95c866f649be8"),
+        ],
+    )
+    def test_golden_csv(self, capsys, tmp_path, n, p, digest):
+        csv_file = tmp_path / "pairs.csv"
+        code, _, _ = run(
+            capsys, "verify", "--n", str(n), "--p", str(p), "--samples", "500",
+            "--seed", "1", "--output", str(tmp_path / "r.json"), "--csv", str(csv_file),
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(csv_file.read_text())))
+        drop = rows[0].index("d_hyp")
+        text = "".join(",".join(r[:drop] + r[drop + 1:]) + "\n" for r in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

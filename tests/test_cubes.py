@@ -1,8 +1,9 @@
 import math
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -406,3 +407,52 @@ def _cells(m, n):
     from itertools import product
 
     return product(range(m), repeat=n)
+
+
+def _covering_brute_force(P, colors, max_witnesses=32):
+    """Level-0 covering decided cell by cell over the whole torus grid.
+
+    The grid step is the lcm of the denominators of every color's slab ends,
+    each color's axis membership is read off its realized level-0 slab, and
+    every one of the m^n cells is tested (vectorized), in lexicographic order.
+    """
+    slabs = {c: realize(P, CubeId(c, 0, (0,) * P.n)) for c in P.colors}
+    m = math.lcm(*(b.lo[0].denominator for b in slabs.values()),
+                 *(b.hi[0].denominator for b in slabs.values()))
+    centers = [F(2 * i + 1, 2 * m) for i in range(m)]
+    covered = np.zeros((m,) * P.n, dtype=bool)
+    for c in colors:
+        lo, hi = slabs[c].lo[0], slabs[c].hi[0]
+        axis = np.array([(x - lo) % 1 <= hi - lo for x in centers])
+        cells = np.ones((m,) * P.n, dtype=bool)
+        for d in range(P.n):
+            cells &= axis.reshape((m,) + (1,) * (P.n - 1 - d))
+        covered |= cells
+    gaps = np.argwhere(~covered)
+    return {
+        "n": P.n,
+        "p": P.p,
+        "colors": list(colors),
+        "grid_step": str(F(1, m)),
+        "cells_total": m**P.n,
+        "cells_uncovered": len(gaps),
+        "covered": len(gaps) == 0,
+        "witnesses": [
+            [str(centers[i]) for i in cell] for cell in gaps[:max_witnesses].tolist()
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "P", list(_accepted_params(3, 15)), ids=lambda P: f"n{P.n}p{P.p}"
+)
+def test_covering_matches_brute_force_for_every_color_subset(P):
+    for size in range(1, P.n + 2):
+        for cols in combinations(P.colors, size):
+            try:
+                got = verify_covering_level0(P, colors=cols)
+            except ResourceLimit:
+                # Over the default budget: (3,11), (3,12), (3,14) and (3,15).
+                assert (P.n, P.p) in {(3, 11), (3, 12), (3, 14), (3, 15)}
+                return
+            assert got.to_json_dict() == _covering_brute_force(P, cols)

@@ -3,6 +3,7 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treebed import (
     CubeId,
@@ -20,7 +21,12 @@ from treebed import (
     stability_probe,
     vertical_bound_check,
 )
-from treebed.verifier import DistortionReport, PairSample, default_region
+from treebed.verifier import (
+    MIN_FIT_DHYP,
+    DistortionReport,
+    PairSample,
+    default_region,
+)
 
 
 def small_plan(strategy="uniform", count=50, seed=7):
@@ -128,6 +134,24 @@ def report_from(values, n=1, p=5):
     return DistortionReport(n=n, p=p, norm="l1", samples=samples)
 
 
+def _scan_fit(samples, m_grid):
+    """The envelope fit by a scan of every grid point: the reference the
+    bisection in fit_qi_constants must reproduce bit for bit."""
+    if m_grid is None:
+        m_grid = [float(m) for m in range(51)]
+    fitting = [s for s in samples if s.d_hyp >= MIN_FIT_DHYP]
+    operands = [(s.d_tree, s.d_hyp) for s in fitting] + [
+        (s.d_hyp, s.d_tree) for s in fitting if s.d_tree > 0
+    ]
+    best = None
+    for m in m_grid:
+        l = max(1.0, max([(a - m) / b for a, b in operands]))
+        if best is None or (l, m) < best:
+            best = (l, m)
+    l, m = best
+    return l, m, count_violations(samples, l, m)
+
+
 class TestFit:
     def test_single_sample(self):
         fitted = fit_qi_constants(report_from([(1.0, 1.0)]), m_grid=[0.0])
@@ -154,6 +178,62 @@ class TestFit:
     def test_degenerate(self):
         with pytest.raises(DegenerateSample):
             fit_qi_constants(report_from([(0.0, 0.0)]), m_grid=[0.0])
+
+    @pytest.mark.parametrize("grid", [[], [float("nan")], [float("inf")], [0.0, -math.inf]])
+    def test_grid_must_be_finite_and_non_empty(self, grid):
+        with pytest.raises(ValueError, match="m_grid"):
+            fit_qi_constants(report_from([(1.0, 2.0)]), m_grid=grid)
+
+    def test_probe_grid_must_be_finite(self, p5):
+        with pytest.raises(ValueError, match="m_grid"):
+            stability_probe(p5, small_plan(count=5), [1.0], m_grid=[float("nan")])
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(0.0, MIN_FIT_DHYP, exclude_max=True),
+                    st.floats(MIN_FIT_DHYP, 200.0),
+                ),
+                st.one_of(
+                    st.just(0.0),
+                    st.integers(0, 120).map(float),
+                    st.floats(0.0, 200.0),
+                ),
+            ),
+            max_size=30,
+        ),
+        anchor=st.tuples(
+            st.floats(MIN_FIT_DHYP, 200.0), st.integers(0, 120).map(float)
+        ),
+        grid=st.one_of(
+            st.none(),
+            st.lists(
+                st.one_of(
+                    st.integers(-20, 60).map(float),
+                    st.floats(-60.0, 60.0),
+                ),
+                min_size=1,
+                max_size=60,
+            ),
+        ),
+    )
+    def test_bisection_matches_full_scan(self, rows, anchor, grid):
+        # The anchor keeps one pair above the fitting floor.
+        report = report_from(rows + [anchor])
+        fitted = fit_qi_constants(report, grid)
+        want = _scan_fit(report.samples, grid)
+        assert repr((fitted.l, fitted.m, fitted.violations)) == repr(want)
+
+    @pytest.mark.parametrize(
+        "grid", [[0.0, -0.0], [-0.0, 0.0], [4.0, 2, 2.0, 0.0], [4.0, 2.0, 2, 0.0]]
+    )
+    def test_equal_grid_values_keep_the_first_listed(self, grid):
+        report = report_from([(1.0, 1.0), (2.0, 4.0)])
+        fitted = fit_qi_constants(report, grid)
+        want = _scan_fit(report.samples, grid)
+        assert repr((fitted.l, fitted.m, fitted.violations)) == repr(want)
 
     def test_envelope_holds_on_fitting_set(self, p5):
         plan = small_plan(count=300, seed=9)
