@@ -32,7 +32,6 @@ from .cubes import (
 from .embedding import (
     EmbeddedPoint,
     embed,
-    embed_color,
     per_color_distances,
     product_distance,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "ScanExhausted",
     "EmbeddedPoint",
     "embed",
-    "embed_color",
     "per_color_distances",
     "product_distance",
     "Region",

@@ -71,17 +71,22 @@ def _parse_region(text: str) -> Region:
         raise _UsageError(f"bad region {text!r}: {exc}") from exc
 
 
-def _emit(args, payload: dict, plain: str) -> None:
-    text = (
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if args.json
-        else plain + "\n"
-    )
+def _write(args, text: str) -> None:
+    """Write the primary output to ``--output`` if given, else to stdout."""
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, payload: dict, plain: str) -> None:
+    _write(
+        args,
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if args.json
+        else plain + "\n",
+    )
 
 
 def _cmd_embed(args) -> int:
@@ -123,6 +128,10 @@ def _cmd_check_covering(args) -> int:
 
 def _cmd_check_separation(args) -> int:
     P = validate_params(args.n, args.p)
+    if args.samples < 1:
+        raise _UsageError(f"--samples must be >= 1, got {args.samples}")
+    if args.gamma_bound is not None and args.gamma_bound < 0:
+        raise _UsageError(f"--gamma-bound must be >= 0, got {args.gamma_bound}")
     if args.level_min >= args.level_max:
         raise _UsageError(
             f"need --level-min < --level-max, got {args.level_min} >= {args.level_max}"
@@ -176,12 +185,7 @@ def _cmd_verify(args) -> int:
         plan=plan,
     )
     fitted = fit_qi_constants(report)
-    text = fitted.to_json()
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, fitted.to_json())
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(fitted.to_csv())
@@ -205,12 +209,7 @@ def _cmd_export_subtree(args) -> int:
             )
     if not ids:
         raise _UsageError("no cube ids given (use --id or --ids-file)")
-    doc = export_subtree(P, ids, fmt=args.format, scan_cap=args.scan_cap)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(doc)
-    else:
-        sys.stdout.write(doc)
+    _write(args, export_subtree(P, ids, fmt=args.format, scan_cap=args.scan_cap))
     return EXIT_OK
 
 
@@ -299,6 +298,8 @@ def _apply_config(argv: list[str]) -> list[str]:
     path = argv[i + 1]
     with open(path) as fh:
         conf = json.load(fh)
+    if not isinstance(conf, dict):
+        raise _UsageError(f"config {path!r} must hold a JSON object")
     extra: list[str] = []
     for key, value in conf.items():
         flag = "--" + key.replace("_", "-")

@@ -11,9 +11,10 @@ misclassify boundary cases.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 Rational = Union[Fraction, int]
 RationalVec = tuple[Fraction, ...]
@@ -27,40 +28,71 @@ class DimensionMismatch(ValueError):
     """Vectors or boxes of different dimensions were combined."""
 
 
+# Hyperbolic distances evaluate e^{sigma*t}; beyond this exponent no double
+# holds them.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class Params:
-    """Validated parameters (n, p) with their derived exact constants.
+    """Validated parameters (n, p) with the per-axis map of the cube patterns.
 
     ``n`` is the horosphere dimension (the embedded space has dimension
-    n+1), ``p`` the subdivision factor. Derived values:
+    n+1), ``p`` the subdivision factor. At color c and level k a coordinate
+    x has lattice position u = p^k (x - e) + e - m_c/(p-1), e = 1/(p-1),
+    and lattice point g's slab is g + 1/p <= u <= g + 1 - 1/p. All these
+    constants are integer multiples of 1/D: 1/p is (p-1)/D and e is p/D.
+    Derived values, all computed once by :func:`validate_params`:
 
-    * ``a = 1 - 2/p``   side length of the template cube,
-    * ``lam = 1/p``     per-level contraction ratio,
-    * ``nu``            every entry 1/(n+1); color c is shifted along the
-                        diagonal by m_c/(p-1), m_c = floor(c(p-1)/(n+1)),
-                        which is c*nu exactly when (n+1) divides p-1,
-    * ``eta0``          fixed point of the expansion H, every entry 1/(p-1),
-    * ``sigma = ln p``  metric rescaling (the one approximate constant).
+    * ``m``            shift numerators m_c = floor(c(p-1)/(n+1)); color c
+                       is shifted along the diagonal by m_c/(p-1), which is
+                       c/(n+1) exactly when (n+1) divides p-1,
+    * ``D = p(p-1)``   common denominator of the per-axis map,
+    * ``level_bound``  largest |level| whose heights keep hyperbolic
+                       distances representable: log(DBL_MAX)/ln p, about
+                       441 at p = 5,
+    * ``sigma = ln p`` metric rescaling (the one approximate constant).
 
     Construct only through :func:`validate_params`.
     """
 
     n: int
     p: int
-    a: Fraction
-    lam: Fraction
-    nu: RationalVec
-    eta0: RationalVec
+    m: tuple[int, ...]
+    D: int
+    level_bound: float
     sigma: float
-
-    @property
-    def eta(self) -> RationalVec:
-        """Center offset of the expansion H(x) = p*(x - eta)."""
-        return tuple([Fraction(1, self.p)] * self.n)
 
     @property
     def colors(self) -> range:
         return range(self.n + 1)
+
+    def scale(self, k: int) -> tuple[int, int]:
+        """(up, dn), non-negative powers of p with p^-k = up/dn."""
+        return (self.p**-k, 1) if k < 0 else (1, self.p**k)
+
+    def slab(self, c: int, k: int, g: int) -> tuple[Fraction, Fraction]:
+        """Exact closed slab of lattice point g on one axis at color c, level k."""
+        p, D = self.p, self.D
+        up, dn = self.scale(k)
+        # In units of 1/D, e is p and 1/p is p - 1.
+        lo = up * (g * D + (self.m[c] - 1) * p + p - 1) + p * dn
+        den = D * dn
+        return Fraction(lo, den), Fraction(lo + up * (D - 2 * (p - 1)), den)
+
+    def positions(self, c: int, k: int, x: Sequence) -> Iterator[tuple[int, int]]:
+        """Exact lattice position u = num/den of x per axis, as (num, den)
+        with den > 0, computed lazily axis by axis."""
+        if len(x) != self.n:
+            raise DimensionMismatch(f"expected dimension {self.n}, got {len(x)}")
+        up, dn = self.scale(k)
+        # With x = a/b: num = a*A + b*B and den = b*C.
+        A = self.D * dn
+        B = self.p * (up * (1 - self.m[c]) - dn)
+        C = self.D * up
+        for xi in x:
+            a, b = (xi if isinstance(xi, float) else Fraction(xi)).as_integer_ratio()
+            yield a * A + b * B, b * C
 
 
 def validate_params(n: int, p: int) -> Params:
@@ -68,8 +100,8 @@ def validate_params(n: int, p: int) -> Params:
 
     Requires n >= 1, p >= 2 and the strict inequality
     1/(p-1) + 1/p < 1/(n+1), which is what makes the n+1 shifted copies of
-    the pattern cover space while keeping the fixed point eta0 interior to
-    every copy. The inequality implies p > 2(n+1).
+    the pattern cover space while keeping the fixed point e = 1/(p-1) of the
+    expansion interior to every copy. The inequality implies p > 2(n+1).
 
     Raises:
         InvalidParams: naming the violated constraint.
@@ -83,20 +115,16 @@ def validate_params(n: int, p: int) -> Params:
             f"constraint 1/(p-1) + 1/p < 1/(n+1) fails for n={n}, p={p}: "
             f"{Fraction(1, p - 1) + Fraction(1, p)} >= {Fraction(1, n + 1)}"
         )
-    params = Params(
+    assert p > 2 * (n + 1)
+    sigma = math.log(p)
+    return Params(
         n=n,
         p=p,
-        a=1 - Fraction(2, p),
-        lam=Fraction(1, p),
-        nu=tuple([Fraction(1, n + 1)] * n),
-        eta0=tuple([Fraction(1, p - 1)] * n),
-        sigma=math.log(p),
+        m=tuple(c * (p - 1) // (n + 1) for c in range(n + 1)),
+        D=p * (p - 1),
+        level_bound=_LOG_FLOAT_MAX / sigma,
+        sigma=sigma,
     )
-    # Exact sanity identities; cheap, and a wrong Params poisons everything.
-    assert params.p * params.a == params.p - 2
-    assert all(p * (e - h) == e for e, h in zip(params.eta0, params.eta))
-    assert params.p > 2 * (n + 1)
-    return params
 
 
 @dataclass(frozen=True)

@@ -6,26 +6,24 @@ exact rational box
 
     H^{-k}(gamma + s_c + A),   A = [1/p, 1 - 1/p]^n,
 
-where H(x) = p*(x - eta) is the lattice expansion and
-H^{-k}(x) = p^{-k} * (x - eta0) + eta0 is its inverse iterate expressed
-through the fixed point eta0, and s_c = m_c/(p-1), m_c = floor(c(p-1)/(n+1)),
+where H(x) = p*(x - 1/p) is the lattice expansion and
+H^{-k}(x) = p^{-k} * (x - e) + e is its inverse iterate expressed through
+the fixed point e = 1/(p-1), and s_c = m_c/(p-1), m_c = floor(c(p-1)/(n+1)),
 is color c's diagonal shift (c/(n+1) whenever (n+1) divides p-1). Level-k
-cubes have side a*p^{-k} and repeat with period p^{-k} along every axis, so
-the same-level family of one color is pairwise disjoint with axis gaps of
-exactly 2*p^{-(k+1)}. As s_c is a multiple of 1/(p-1), H^{-1} maps lattice
+cubes have side (1 - 2/p)*p^{-k} and repeat with period p^{-k} along every
+axis, so the same-level family of one color is pairwise disjoint with axis
+gaps of exactly 2*p^{-(k+1)}. As s_c is a multiple of 1/(p-1), H^{-1} maps lattice
 points to lattice points, so same-color cubes are nested or separated.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import (
     DimensionMismatch,
@@ -48,24 +46,12 @@ class ResourceLimit(RuntimeError):
     """An exact enumeration would exceed its configured budget."""
 
 
-# Hyperbolic distances evaluate e^{sigma*t}; beyond this exponent no double
-# holds them.
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-@functools.lru_cache(maxsize=64)
-def level_bound(p: int) -> float:
-    """Largest |level| whose heights keep hyperbolic distances representable:
-    log(DBL_MAX)/ln p, about 441 at p = 5."""
-    return _LOG_FLOAT_MAX / math.log(p)
-
-
 def check_level(P: Params, k: int) -> None:
-    """Raise ResourceLimit for a level k with |k| > level_bound(P.p)."""
-    if abs(k) > level_bound(P.p):
+    """Raise ResourceLimit for a level k with |k| > P.level_bound."""
+    if abs(k) > P.level_bound:
         raise ResourceLimit(
             f"level {k} is beyond the representable heights "
-            f"|t| <= {level_bound(P.p):.1f} for p={P.p}"
+            f"|t| <= {P.level_bound:.1f} for p={P.p}"
         )
 
 
@@ -89,58 +75,10 @@ def _check_id(P: Params, cid: CubeId) -> None:
     check_level(P, cid.k)
 
 
-@dataclass(frozen=True)
-class AxisFrame:
-    """The per-axis map of the cube patterns in scaled integers: coordinate x
-    has lattice position u = p^k (x - e) + e - m_c/(p-1), e = 1/(p-1), and
-    lattice point g's slab is g + 1/p <= u <= g + 1 - 1/p. All constants are
-    integer multiples of 1/D, D = p(p-1), and the frame keeps those."""
-
-    n: int
-    p: int
-    D: int
-    lam: int  # 1/p = lam/D
-    eta: int  # e = eta/D
-    m: tuple[int, ...]  # color c's shift m[c]/(p-1) is m[c]*eta/D
-
-    def scale(self, k: int) -> tuple[int, int]:
-        """(up, dn), non-negative powers of p with p^-k = up/dn."""
-        return (self.p**-k, 1) if k < 0 else (1, self.p**k)
-
-    def slab(self, c: int, k: int, g: int) -> tuple[Fraction, Fraction]:
-        """Exact closed slab of lattice point g on one axis at color c, level k."""
-        up, dn = self.scale(k)
-        lo = up * (g * self.D + (self.m[c] - 1) * self.eta + self.lam) + self.eta * dn
-        den = self.D * dn
-        return Fraction(lo, den), Fraction(lo + up * (self.D - 2 * self.lam), den)
-
-    def positions(self, c: int, k: int, x: Sequence) -> Iterator[tuple[int, int]]:
-        """Exact lattice position u = num/den of x per axis, as (num, den)
-        with den > 0, computed lazily axis by axis."""
-        if len(x) != self.n:
-            raise DimensionMismatch(f"expected dimension {self.n}, got {len(x)}")
-        up, dn = self.scale(k)
-        # With x = a/b: num = a*A + b*B and den = b*C.
-        A = self.D * dn
-        B = self.eta * (up * (1 - self.m[c]) - dn)
-        C = self.D * up
-        for xi in x:
-            a, b = (xi if isinstance(xi, float) else Fraction(xi)).as_integer_ratio()
-            yield a * A + b * B, b * C
-
-
-@functools.lru_cache(maxsize=64)
-def axis_frame(n: int, p: int) -> AxisFrame:
-    """The axis frame of the patterns with parameters (n, p)."""
-    m = tuple(c * (p - 1) // (n + 1) for c in range(n + 1))
-    return AxisFrame(n=n, p=p, D=p * (p - 1), lam=p - 1, eta=p, m=m)
-
-
 def realize(P: Params, cid: CubeId) -> RationalBox:
     """Exact rational box of a symbolic cube: the product of its axis slabs."""
     _check_id(P, cid)
-    F = axis_frame(P.n, P.p)
-    lo, hi = zip(*(F.slab(cid.c, cid.k, g) for g in cid.gamma))
+    lo, hi = zip(*(P.slab(cid.c, cid.k, g) for g in cid.gamma))
     return RationalBox(lo, hi)
 
 
@@ -154,10 +92,7 @@ def locate(
     gap return None.
     """
     p = P.p
-    cells = [
-        (*divmod(num, den), den)
-        for num, den in axis_frame(P.n, p).positions(c, k, x)
-    ]
+    cells = [(*divmod(num, den), den) for num, den in P.positions(c, k, x)]
     if all(den <= p * r <= (p - 1) * den for _, r, den in cells):
         return CubeId(c, k, tuple(g for g, _, _ in cells))
     return None
@@ -176,7 +111,7 @@ def nearest_in_level(
     the integers.
     """
     gamma = []
-    for num, den in axis_frame(P.n, P.p).positions(c, k, x):
+    for num, den in P.positions(c, k, x):
         gamma.append((num - 1) // den)  # the g with g < u <= g + 1
     return CubeId(c, k, tuple(gamma))
 
@@ -191,7 +126,7 @@ class SeparationKind(enum.Enum):
 class SeparationVerdict:
     """Classification of a lower-level/higher-level cube pair.
 
-    ``bound`` is the required clearance lam^{k+1} for the higher level k.
+    ``bound`` is the required clearance p^-(k+1) for the higher level k.
     Disjoint pairs carry the exact squared gap (compared against bound^2 to
     stay rational); nested pairs carry the exact boundary margin.
     """
@@ -210,16 +145,17 @@ def separation_verdict(P: Params, low: CubeId, high: CubeId) -> SeparationVerdic
     """Exact separation check for a same-color pair with low.k < high.k.
 
     The higher-level (smaller) cube must either keep a gap of at least
-    lam^{high.k+1} from the lower-level cube or sit inside it with at least
+    p^-(high.k+1) from the lower-level cube or sit inside it with at least
     that boundary margin; anything else is a violation.
 
-    Decided in the axis frame's integers: on the higher level's grid, in
-    units of 1/(D p^k) for k = high.k, each axis's outer slab is
-    [s(gD + C), s(gD + C) + sW] and its inner slab [g'D + C, g'D + C + W],
-    with s = p^(high.k - low.k), C = (m_c - 1)*eta + lam, W = D - 2*lam, after
-    the common offset eta*p^k is dropped. The bound lam^(k+1) is D/p of
-    these units at every level, so both tests are integer comparisons and
-    the only Fraction built is the returned witness. ``realize`` with
+    Decided in the integers of the per-axis map (see :class:`Params`): on
+    the higher level's grid, in units of 1/(D p^k) for k = high.k, each
+    axis's outer slab is [s(gD + C), s(gD + C) + sW] and its inner slab
+    [g'D + C, g'D + C + W], with s = p^(high.k - low.k),
+    C = (m_c - 1)p + p - 1 and W = D - 2(p - 1), after the common offset
+    p*p^k is dropped. The bound p^-(k+1) is D/p of these units at every
+    level, so both tests are integer comparisons and the only Fraction
+    built is the returned witness. ``realize`` with
     ``box_gap_sq`` and ``boundary_margin`` is the reference this is tested
     against.
     """
@@ -229,11 +165,10 @@ def separation_verdict(P: Params, low: CubeId, high: CubeId) -> SeparationVerdic
         raise LevelOrder(f"need low.k < high.k, got {low.k} >= {high.k}")
     _check_id(P, low)
     _check_id(P, high)
-    F = axis_frame(P.n, P.p)
-    p, D, k = P.p, F.D, high.k
+    p, D, k = P.p, P.D, high.k
     s = p ** (k - low.k)
-    shift = (s - 1) * ((F.m[low.c] - 1) * F.eta + F.lam)  # (s-1)*C
-    W = D - 2 * F.lam
+    shift = (s - 1) * ((P.m[low.c] - 1) * p + p - 1)  # (s-1)*C
+    W = D - 2 * (p - 1)
     sW = s * W
     gap2 = 0
     margin = sW  # above every axis's margin
@@ -242,8 +177,8 @@ def separation_verdict(P: Params, low: CubeId, high: CubeId) -> SeparationVerdic
         d = max(a - sW, -a - W, 0)
         gap2 += d * d
         margin = min(margin, a, sW - W - a)
-    up, dn = F.scale(k)  # one unit is up/(D*dn)
-    bound = Fraction(up, dn * p)  # lam^(k+1)
+    up, dn = P.scale(k)  # one unit is up/(D*dn)
+    bound = Fraction(up, dn * p)  # p^-(k+1)
     if gap2:
         kind = (
             SeparationKind.DISJOINT_FAR
@@ -319,7 +254,7 @@ def verify_covering_level0(
     for c in cols:
         if not 0 <= c <= P.n:
             raise ColorMismatch(f"color {c} outside 0..{P.n}")
-    shifts = (Fraction(mc, P.p - 1) for mc in axis_frame(P.n, P.p).m)
+    shifts = (Fraction(mc, P.p - 1) for mc in P.m)
     m = math.lcm(P.p, *(s.denominator for s in shifts))
     total = m**P.n
     if total > cell_budget:

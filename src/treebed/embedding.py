@@ -43,24 +43,13 @@ def embedding_level(z: HoroPoint) -> int:
     return math.floor(z.t + 0.5)
 
 
-def embed_color(P: Params, z: HoroPoint, c: int, level: int | None = None) -> CubeId:
-    """Nearest cube of color c at the rounded level of z (or a forced level).
-
-    Raises:
-        ResourceLimit: the level lies beyond the heights |t| <= log(DBL_MAX)/ln p
-            at which hyperbolic distances are representable at all.
-    """
-    k = embedding_level(z) if level is None else level
-    check_level(P, k)
-    return nearest_in_level(P, c, k, z.x)
-
-
 def embed(P: Params, z: HoroPoint, level: int | None = None) -> EmbeddedPoint:
     """Image of z under every color map. ``level`` overrides the rounded
     level; it exists for negative-control experiments, not for normal use.
 
     Raises:
-        ResourceLimit: as for ``embed_color``.
+        ResourceLimit: the level lies beyond the heights |t| <= log(DBL_MAX)/ln p
+            at which hyperbolic distances are representable at all.
     """
     k = embedding_level(z) if level is None else level
     check_level(P, k)

@@ -22,8 +22,7 @@ from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .core import Params, RationalBox
-from .cubes import ColorMismatch, CubeId, ResourceLimit, _check_id
-from .cubes import axis_frame, realize
+from .cubes import ColorMismatch, CubeId, ResourceLimit, _check_id, realize
 
 
 class ScanExhausted(RuntimeError):
@@ -52,8 +51,7 @@ def _ancestors(P: Params, cid: CubeId, scan_cap: int) -> Iterator[tuple]:
     """
     if scan_cap < 1:
         raise ValueError("scan_cap must be positive")
-    F = axis_frame(P.n, P.p)
-    p, top, lift = F.p, F.p - 2, 1 - F.m[cid.c]
+    p, top, lift = P.p, P.p - 2, 1 - P.m[cid.c]
     k, tip = cid.k, cid.gamma
     while True:
         gamma, j = tip, k
@@ -108,8 +106,7 @@ def _meet(P: Params, u: CubeId, v: CubeId, scan_cap: int) -> tuple[list, list]:
         raise ColorMismatch(f"colors {u.c} vs {v.c}")
     _check_id(P, u)
     _check_id(P, v)
-    F = axis_frame(P.n, P.p)
-    p, top, lift = F.p, F.p - 2, 1 - F.m[u.c]
+    p, top, lift = P.p, P.p - 2, 1 - P.m[u.c]
     a, b = (u.k, u.gamma), (v.k, v.gamma)
     left, right = [a], [b]
     if scan_cap < 1 and a != b:
@@ -170,7 +167,7 @@ def _level_contains_box(
     Pure enumeration per axis (the pattern is an axis product), used by the
     oracle instead of the candidate arithmetic of the lazy parent.
     """
-    slabs = [axis_frame(P.n, P.p).slab(c, j, g) for g in gamma_range]
+    slabs = [P.slab(c, j, g) for g in gamma_range]
     for lo, hi in zip(box.lo, box.hi):
         if not any(slo <= lo and hi <= shi for slo, shi in slabs):
             return False

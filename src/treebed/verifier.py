@@ -110,6 +110,11 @@ def sample_pairs(
     region = plan.region
     k_lo = math.ceil(region.t_min)
     k_hi = math.floor(region.t_max)
+    if plan.strategy == "vertical" and k_lo > k_hi:
+        raise ValueError(
+            f"region t in [{region.t_min}, {region.t_max}] holds no integer "
+            "height for the vertical strategy"
+        )
     pairs = []
     for _ in range(plan.count):
         if plan.strategy == "uniform":

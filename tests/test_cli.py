@@ -133,6 +133,21 @@ class TestUsageErrors:
         code, _, err = run(capsys, "check-covering", "--n", "1", "--p", "5", "--config")
         assert code == 2
 
+    @pytest.mark.parametrize("top", ["[1, 2]", '"x"'])
+    def test_config_must_be_an_object(self, tmp_path, top):
+        conf = tmp_path / "conf.json"
+        conf.write_text(top)
+        proc = subprocess.run(
+            [sys.executable, "-m", "treebed", "check-covering", "--n", "1",
+             "--p", "5", "--config", str(conf)],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_missing_ids_file(self, capsys):
         code, _, _ = run(
             capsys, "export-subtree", "--n", "1", "--p", "5",
@@ -236,6 +251,10 @@ class TestVerify:
         (["export-subtree", "--id=0,-440,1000000000000"], 3),
         (["tree-dist", "--u", "0,0,0", "--v=0,-1000000000,0"], 3),
         (["verify", "--samples", "10", "--threads", "0"], 2),
+        (["check-separation", "--samples", "0"], 2),
+        (["check-separation", "--samples", "-5"], 2),
+        (["check-separation", "--gamma-bound", "-1"], 2),
+        (["verify", "--samples", "10", "--strategy", "vertical", "--region", "0.2,0.7,5"], 2),
     ],
 )
 def test_out_of_domain_input_exits_promptly(argv, code):

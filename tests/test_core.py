@@ -20,15 +20,20 @@ def box(*pairs):
 class TestValidateParams:
     def test_n1_p5(self):
         P = validate_params(1, 5)
-        assert P.a == F(3, 5)
-        assert P.lam == F(1, 5)
-        assert P.nu == (F(1, 2),)
-        assert P.eta0 == (F(1, 4),)
+        assert (P.m, P.D) == ((0, 2), 20)
+        # side 3/5 at level 0, contracted by 1/5 per level
+        assert P.slab(0, 0, 0) == (F(1, 5), F(4, 5))
+        assert P.slab(0, 1, 0) == (F(6, 25), F(9, 25))
+        # color 1 is shifted by 1/2
+        assert P.slab(1, 0, 0) == (F(7, 10), F(13, 10))
 
     def test_n2_p7_accepted(self):
         P = validate_params(2, 7)
-        assert P.a == F(5, 7)
-        assert P.nu == (F(1, 3), F(1, 3))
+        assert (P.m, P.D) == ((0, 2, 4), 42)
+        # side 5/7, and the shifts 1/3 and 2/3
+        assert P.slab(0, 0, 0) == (F(1, 7), F(6, 7))
+        assert P.slab(1, 0, 0) == (F(10, 21), F(25, 21))
+        assert P.slab(2, 0, 0) == (F(17, 21), F(32, 21))
 
     def test_n2_p6_rejected(self):
         # 1/5 + 1/6 = 11/30 > 1/3
@@ -47,11 +52,13 @@ class TestValidateParams:
     def test_derived_identities(self):
         for n, p in [(1, 5), (1, 6), (2, 7), (3, 9)]:
             P = validate_params(n, p)
-            assert P.p * P.a == P.p - 2
-            # H(eta0) = eta0 with H(x) = p*(x - eta)
-            assert all(
-                P.p * (e0 - e) == e0 for e0, e in zip(P.eta0, P.eta)
-            )
+            lo, hi = P.slab(0, 0, 0)
+            assert p * (hi - lo) == p - 2
+            # the fixed point 1/(p-1) of H(x) = p*(x - 1/p) keeps its lattice
+            # position at every level
+            e = (F(1, p - 1),) * n
+            for k in (-2, 0, 3):
+                assert [F(*u) for u in P.positions(0, k, e)] == list(e)
             assert P.p > 2 * (n + 1)
 
 

@@ -25,7 +25,6 @@ from treebed import (
     validate_params,
     verify_covering_level0,
 )
-from treebed.cubes import axis_frame
 
 
 class TestRealize:
@@ -46,7 +45,7 @@ class TestRealize:
     def test_side_and_diameter(self, p7):
         for k in (-2, 0, 3):
             b = realize(p7, CubeId(2, k, (4, -1)))
-            side = p7.a * p7.lam**k
+            side = F(5, 7) * F(1, 7) ** k
             assert all(hi - lo == side for lo, hi in zip(b.lo, b.hi))
 
     def test_level_minus1_is_expansion_of_level0(self, p5):
@@ -169,7 +168,7 @@ class TestSeparationVerdict:
     def test_nested_level1(self, p5):
         v = separation_verdict(p5, CubeId(0, 0, (0,)), CubeId(0, 1, (0,)))
         assert v.kind is SeparationKind.NESTED_DEEP
-        assert v.margin == F(1, 25) == p5.lam**2
+        assert v.margin == F(1, 25) == F(1, 5) ** 2
 
     def test_nested_level0_in_minus1(self, p5):
         v = separation_verdict(p5, CubeId(0, -1, (0,)), CubeId(0, 0, (0,)))
@@ -220,7 +219,7 @@ def _reference_verdict(P, low, high):
     if low.k >= high.k:
         raise LevelOrder(f"need low.k < high.k, got {low.k} >= {high.k}")
     outer, inner = realize(P, low), realize(P, high)
-    bound = P.lam ** (high.k + 1)
+    bound = F(1, P.p) ** (high.k + 1)
     gap_sq = box_gap_sq(outer, inner)
     if gap_sq > 0:
         far = gap_sq >= bound * bound
@@ -326,7 +325,7 @@ def test_nested_draws_never_violate(P):
     # Where (n+1) | (p-1) the shift is the diagonal c/(n+1) of the benchmark
     # and acceptance settings (1,5), (2,7) and (3,9).
     if (p - 1) % (n + 1) == 0:
-        shifts = [F(m, p - 1) for m in axis_frame(n, p).m]
+        shifts = [F(m, p - 1) for m in P.m]
         assert shifts == [F(c, n + 1) for c in P.colors]
 
 
@@ -336,7 +335,7 @@ def test_same_level_disjoint_with_exact_gap(p5):
         for g in (-2, 0, 5):
             b1 = realize(p5, CubeId(0, k, (g,)))
             b2 = realize(p5, CubeId(0, k, (g + 1,)))
-            assert box_gap_sq(b1, b2) == (2 * p5.lam ** (k + 1)) ** 2
+            assert box_gap_sq(b1, b2) == (2 * F(1, 5) ** (k + 1)) ** 2
 
 
 class TestCovering:

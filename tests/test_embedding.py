@@ -8,7 +8,6 @@ from treebed import (
     CubeId,
     HoroPoint,
     embed,
-    embed_color,
     hyp_distance,
     locate,
     per_color_distances,
@@ -21,14 +20,14 @@ from treebed.embedding import EmbeddedPoint, embedding_level
 
 class TestEmbedColor:
     def test_center_of_template(self, p5):
-        assert embed_color(p5, HoroPoint(0.0, (0.5,)), 0) == CubeId(0, 0, (0,))
+        assert embed(p5, HoroPoint(0.0, (0.5,))).images[0] == CubeId(0, 0, (0,))
 
     def test_rounds_down_to_same_level(self, p5):
-        assert embed_color(p5, HoroPoint(0.4, (0.5,)), 0) == CubeId(0, 0, (0,))
+        assert embed(p5, HoroPoint(0.4, (0.5,))).images[0] == CubeId(0, 0, (0,))
 
     def test_rounds_up_to_level1(self, p5):
         # level-1 cube containing x=1/2 is gamma=1: [11/25, 14/25]
-        got = embed_color(p5, HoroPoint(0.6, (0.5,)), 0)
+        got = embed(p5, HoroPoint(0.6, (0.5,))).images[0]
         assert got == CubeId(0, 1, (1,))
         assert realize(p5, got).contains_point((F(1, 2),))
 
@@ -40,8 +39,8 @@ class TestEmbedColor:
         rng = random.Random(40)
         for _ in range(300):
             z = HoroPoint(rng.uniform(-6, 6), (rng.uniform(-99, 99),))
-            for c in p5.colors:
-                assert embed_color(p5, z, c).k == embedding_level(z)
+            for v in embed(p5, z).images:
+                assert v.k == embedding_level(z)
 
 
 class TestEmbed:
@@ -60,9 +59,9 @@ class TestEmbed:
         assert [v.c for v in embed(p7, z).images] == [0, 1, 2]
 
     def test_fixed_point_chain(self, p5):
-        # eta0 sits inside a cube of every color at every level, so the
-        # images along the vertical family form containment chains
-        x = float(p5.eta0[0])
+        # the fixed point 1/4 sits inside a cube of every color at every
+        # level, so the images along the vertical family form containment chains
+        x = 0.25
         images = [embed(p5, HoroPoint(float(k), (x,))).images for k in range(6)]
         for c in p5.colors:
             for k in range(6):

@@ -48,6 +48,14 @@ class TestSamplePairs:
             assert z.x == zp.x
             assert z.t == int(z.t) and zp.t == int(zp.t)
 
+    def test_vertical_needs_an_integer_height(self, p5):
+        plan = SamplePlan(Region(0.2, 0.7, 5.0), 10, "vertical", 0)
+        with pytest.raises(ValueError, match="no integer height"):
+            sample_pairs(p5, plan)
+        # a single integer height is enough
+        pairs = sample_pairs(p5, SamplePlan(Region(0.2, 1.0, 5.0), 10, "vertical", 0))
+        assert all(z.t == zp.t == 1.0 for z, zp in pairs)
+
     def test_same_horosphere_contract(self, p5):
         for z, zp in sample_pairs(p5, small_plan("same_horosphere")):
             assert z.t == zp.t
