@@ -218,7 +218,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--p", type=int, required=True, help="subdivision factor")
     sp.add_argument("--json", action="store_true", help="emit JSON")
     sp.add_argument("--output", help="write the primary output to a file")
-    sp.add_argument("--scan-cap", type=int, default=64, dest="scan_cap")
+    sp.add_argument("--scan-cap", type=int, default=64, dest="scan_cap",
+                    help="levels a parent hop may scan (exit 3 beyond); >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,6 +327,8 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             # argparse exits after --help (0) and after a usage error (2).
             return EXIT_OK if exc.code == 0 else EXIT_USAGE
+        if args.scan_cap < 1:
+            raise _UsageError(f"--scan-cap must be >= 1, got {args.scan_cap}")
         return args.fn(args)
     except (_UsageError, InvalidParams, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

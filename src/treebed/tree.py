@@ -45,9 +45,9 @@ def _ancestors(P: Params, cid: CubeId, scan_cap: int) -> Iterator[tuple]:
     """Same-color ancestors of cid as (k, gamma) pairs, nearest first.
 
     cid must have passed _check_id. Level j-1 sees level j's lattice
-    position u at (u + 1 - m_c)/p, so per axis q, r = divmod(g + 1 - m_c, p)
-    puts cell g in cell q one level down, and the cube has an ancestor there
-    iff 1 <= r <= p-2 on every axis. A hop tries at most scan_cap levels.
+    position u at (u + 1 - m_c)/p, so per axis g' = g + 1 - m_c puts cell g
+    in cell q = g' // p one level down, and the cube has an ancestor there
+    iff 1 <= g' - q*p <= p-2 on every axis. A hop tries <= scan_cap levels.
     """
     if scan_cap < 1:
         raise ValueError("scan_cap must be positive")
@@ -59,9 +59,10 @@ def _ancestors(P: Params, cid: CubeId, scan_cap: int) -> Iterator[tuple]:
             j -= 1
             cells, inside = [], True
             for g in gamma:
-                q, r = divmod(g + lift, p)
+                g += lift
+                q = g // p
                 cells.append(q)
-                if not 1 <= r <= top:
+                if not 1 <= g - q * p <= top:
                     inside = False
             gamma = tuple(cells)
             if inside:
@@ -94,11 +95,12 @@ def ancestor_chain(
     return chain
 
 
-def _meet(P: Params, u: CubeId, v: CubeId, scan_cap: int) -> tuple[list, list]:
-    """The (k, gamma) walks from u and from v, both ending where they meet.
+def _meet(P: Params, u: CubeId, v: CubeId, scan_cap: int) -> tuple[int, int, int]:
+    """The level where the walks from u and from v meet, and their hops.
 
-    Always advances the endpoint at the higher level (u on a tie). Neither
-    walk can pass the meet: it lies on both chains and the walk only
+    Always advances the endpoint at the higher level (u on a tie) by the
+    inlined hop of _ancestors, counting hops and keeping no walked cube.
+    Neither walk can pass the meet: it lies on both chains and the walk only
     advances strictly above it. Both ids are checked before the walk, which
     would otherwise reach a lower endpoint's level before checking it.
     """
@@ -107,44 +109,51 @@ def _meet(P: Params, u: CubeId, v: CubeId, scan_cap: int) -> tuple[list, list]:
     _check_id(P, u)
     _check_id(P, v)
     p, top, lift = P.p, P.p - 2, 1 - P.m[u.c]
-    a, b = (u.k, u.gamma), (v.k, v.gamma)
-    left, right = [a], [b]
-    if scan_cap < 1 and a != b:
+    ka, a, kb, b = u.k, list(u.gamma), v.k, list(v.gamma)
+    hops_u = hops_v = 0
+    if scan_cap < 1 and (ka != kb or a != b):
         raise ValueError("scan_cap must be positive")
-    while a != b:
-        up_u = a[0] >= b[0]
-        k, tip = a if up_u else b
+    while ka != kb or a != b:
+        up_u = ka >= kb
+        if up_u:
+            k, tip = ka, a
+        else:
+            k, tip = kb, b
         gamma, j = tip, k
         while True:
             j -= 1
             cells, inside = [], True
             for g in gamma:
-                q, r = divmod(g + lift, p)
+                g += lift
+                q = g // p
                 cells.append(q)
-                if not 1 <= r <= top:
+                if not 1 <= g - q * p <= top:
                     inside = False
-            gamma = tuple(cells)
+            gamma = cells
             if inside:
                 break
             if j == k - scan_cap:
-                raise ScanExhausted(CubeId(u.c, k, tip), j)
+                raise ScanExhausted(CubeId(u.c, k, tuple(tip)), j)
         if up_u:
-            left.append(a := (j, gamma))
+            ka, a = j, gamma
+            hops_u += 1
         else:
-            right.append(b := (j, gamma))
-    return left, right
+            kb, b = j, gamma
+            hops_v += 1
+    return ka, hops_u, hops_v
 
 
 def tree_distance(P: Params, u: CubeId, v: CubeId, scan_cap: int = 64) -> int:
     """Hop count of the unique path between u and v in their color tree."""
-    left, right = _meet(P, u, v, scan_cap)
-    return len(left) + len(right) - 2
+    _, hops_u, hops_v = _meet(P, u, v, scan_cap)
+    return hops_u + hops_v
 
 
 def tree_path(P: Params, u: CubeId, v: CubeId, scan_cap: int = 64) -> list[CubeId]:
     """Vertex sequence of the unique u-v path (u and v included)."""
-    left, right = _meet(P, u, v, scan_cap)
-    return [CubeId(u.c, k, gamma) for k, gamma in left + right[-2::-1]]
+    k, _, _ = _meet(P, u, v, scan_cap)
+    down = ancestor_chain(P, v, k, scan_cap)[-2::-1]
+    return ancestor_chain(P, u, k, scan_cap) + down
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,11 @@ class DegenerateSample(ValueError):
     """No sample pair carries slope information (all essentially identical)."""
 
 
+def _check_scan_cap(scan_cap: int) -> None:
+    if scan_cap < 1:
+        raise ValueError(f"scan_cap must be >= 1, got {scan_cap}")
+
+
 @dataclass(frozen=True)
 class Region:
     t_min: float
@@ -226,6 +231,7 @@ def evaluate_pairs(
     plan: SamplePlan | None = None,
 ) -> DistortionReport:
     """Measure every pair, in order; fit fields stay empty."""
+    _check_scan_cap(scan_cap)
     if not pairs:
         raise DegenerateSample("no pairs to evaluate")
     norm = norm.lower()
@@ -347,6 +353,7 @@ def vertical_bound_check(
     form a nested chain. It must hold for every pair; a failure is an
     implementation bug, not noise.
     """
+    _check_scan_cap(scan_cap)
     plan = SamplePlan(
         region=region or default_region(P),
         count=count,
@@ -413,6 +420,7 @@ def stability_probe(
     distances grow linearly with the region while its tree distances only
     grow logarithmically.
     """
+    _check_scan_cap(scan_cap)
     if list(scales) != sorted(scales):
         raise ValueError(f"scales must be increasing, got {scales!r}")
     ls = []

@@ -129,6 +129,15 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("v", ["0,0,1", "0,3,1"])
+    def test_scan_cap_below_one(self, capsys, v):
+        code, out, err = run(
+            capsys, "tree-dist", "--n", "1", "--p", "5", "--u", "0,0,1", "--v", v,
+            "--scan-cap", "0",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --scan-cap must be >= 1, got 0\n"
+
     def test_config_without_path(self, capsys):
         code, _, err = run(capsys, "check-covering", "--n", "1", "--p", "5", "--config")
         assert code == 2
@@ -255,6 +264,12 @@ class TestVerify:
         (["check-separation", "--samples", "-5"], 2),
         (["check-separation", "--gamma-bound", "-1"], 2),
         (["verify", "--samples", "10", "--strategy", "vertical", "--region", "0.2,0.7,5"], 2),
+        # A scan cap below 1 is refused whether or not the data needs a hop.
+        (["tree-dist", "--u", "0,0,1", "--v", "0,0,1", "--scan-cap", "0"], 2),
+        (["tree-dist", "--u", "0,0,1", "--v", "0,3,1", "--scan-cap", "0"], 2),
+        (["tree-dist", "--u", "0,0,1", "--v", "0,0,1", "--scan-cap=-1"], 2),
+        (["verify", "--samples", "10", "--scan-cap", "0"], 2),
+        (["export-subtree", "--id", "0,1,2", "--scan-cap", "0"], 2),
     ],
 )
 def test_out_of_domain_input_exits_promptly(argv, code):

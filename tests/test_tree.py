@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from collections import deque
@@ -143,6 +144,14 @@ class TestTreeDistance:
 
     def test_direct_edge(self, p5):
         assert tree_distance(p5, CubeId(0, 1, (0,)), CubeId(0, 0, (0,))) == 1
+
+    def test_zero_cap_only_between_equal_ends(self, p5):
+        # The library keeps answering a walk of no hop at any cap.
+        u = CubeId(0, 1, (2,))
+        assert tree_distance(p5, u, u, 0) == 0
+        assert tree_path(p5, u, u, 0) == [u]
+        with pytest.raises(ValueError, match="scan_cap"):
+            tree_distance(p5, u, CubeId(0, 1, (3,)), 0)
 
     def test_color_mismatch(self, p5):
         with pytest.raises(ColorMismatch):
@@ -343,3 +352,26 @@ class TestExportSubtree:
     def test_color_mismatch(self, p5):
         with pytest.raises(ColorMismatch):
             export_subtree(p5, [CubeId(0, 0, (0,)), CubeId(1, 0, (0,))])
+
+    # SHA-256 of the spans of several ids, both formats, which pin the union
+    # of the pairwise tree_path vertex sequences and the parent edges.
+    @pytest.mark.parametrize(
+        "n,p,ids,fmt,digest",
+        [
+            (1, 5, ["0,1,2", "0,1,3", "0,4,300", "0,-2,1"], "dot",
+             "4987bf23ee489be1f9e6183f3ed14318c603d20395ede76232213a351cdb5841"),
+            (1, 5, ["0,1,2", "0,1,3", "0,4,300", "0,-2,1"], "json",
+             "da30c32b404fe7d4f058f38902c3fff03f15b0abc7b101d750e6449f3f7698c7"),
+            (2, 7, ["1,3,10,20", "1,2,1,3", "1,-1,0,0"], "dot",
+             "eb6a4ddc4a56e5153552f5adea6475b4bdf02f3c0476a80d9a2f31b83c409a4a"),
+            (2, 7, ["1,3,10,20", "1,2,1,3", "1,-1,0,0"], "json",
+             "ed4aed924409d5cba2766f138960857cf9cfbc99e8ce14029f983d638eb9220c"),
+        ],
+    )
+    def test_golden_spans(self, n, p, ids, fmt, digest):
+        cubes = []
+        for text in ids:
+            c, k, *gamma = map(int, text.split(","))
+            cubes.append(CubeId(c, k, tuple(gamma)))
+        out = export_subtree(validate_params(n, p), cubes, fmt=fmt)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
