@@ -44,7 +44,6 @@ from .hyperbolic import (
 )
 from .tree import (
     EdgeSet,
-    ScanExhausted,
     ancestor_chain,
     brute_force_edges,
     export_subtree,
@@ -101,7 +100,6 @@ __all__ = [
     "brute_force_edges",
     "EdgeSet",
     "export_subtree",
-    "ScanExhausted",
     "EmbeddedPoint",
     "embed",
     "per_color_distances",

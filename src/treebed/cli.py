@@ -1,6 +1,6 @@
 """Command-line surface: embedding, tree queries, exact checks, verification.
 
-Exit codes: 0 success, 1 check failed, 2 usage error, 3 resource/scan limit.
+Exit codes: 0 success, 1 check failed, 2 usage error, 3 resource limit.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .cubes import (
 )
 from .embedding import NORMS, embed
 from .hyperbolic import DistanceOverflow, HoroPoint, hyp_distance
-from .tree import ScanExhausted, export_subtree, tree_distance
+from .tree import export_subtree, tree_distance
 from .verifier import (
     Region,
     SamplePlan,
@@ -110,7 +110,7 @@ def _cmd_tree_dist(args) -> int:
     P = validate_params(args.n, args.p)
     u = _parse_cube(args.u)
     v = _parse_cube(args.v)
-    d = tree_distance(P, u, v, args.scan_cap)
+    d = tree_distance(P, u, v)
     _emit(args, {"tree_distance": d}, str(d))
     return EXIT_OK
 
@@ -181,7 +181,6 @@ def _cmd_verify(args) -> int:
         P,
         sample_pairs(P, plan),
         norm=args.norm,
-        scan_cap=args.scan_cap,
         plan=plan,
     )
     fitted = fit_qi_constants(report)
@@ -209,7 +208,7 @@ def _cmd_export_subtree(args) -> int:
             )
     if not ids:
         raise _UsageError("no cube ids given (use --id or --ids-file)")
-    _write(args, export_subtree(P, ids, fmt=args.format, scan_cap=args.scan_cap))
+    _write(args, export_subtree(P, ids, fmt=args.format))
     return EXIT_OK
 
 
@@ -218,8 +217,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--p", type=int, required=True, help="subdivision factor")
     sp.add_argument("--json", action="store_true", help="emit JSON")
     sp.add_argument("--output", help="write the primary output to a file")
-    sp.add_argument("--scan-cap", type=int, default=64, dest="scan_cap",
-                    help="levels a parent hop may scan (exit 3 beyond); >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,13 +324,11 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             # argparse exits after --help (0) and after a usage error (2).
             return EXIT_OK if exc.code == 0 else EXIT_USAGE
-        if args.scan_cap < 1:
-            raise _UsageError(f"--scan-cap must be >= 1, got {args.scan_cap}")
         return args.fn(args)
     except (_UsageError, InvalidParams, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ResourceLimit, ScanExhausted, DistanceOverflow) as exc:
+    except (ResourceLimit, DistanceOverflow) as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
 

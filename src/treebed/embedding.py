@@ -60,17 +60,14 @@ def embed(P: Params, z: HoroPoint, level: int | None = None) -> EmbeddedPoint:
 
 
 def per_color_distances(
-    P: Params, e1: EmbeddedPoint, e2: EmbeddedPoint, scan_cap: int = 64
+    P: Params, e1: EmbeddedPoint, e2: EmbeddedPoint
 ) -> tuple[int, ...]:
     """Tree distance between matching color images."""
     if len(e1.images) != len(e2.images):
         raise ColorMismatch(
             f"{len(e1.images)} vs {len(e2.images)} color images"
         )
-    return tuple(
-        tree_distance(P, u, v, scan_cap)
-        for u, v in zip(e1.images, e2.images)
-    )
+    return tuple(tree_distance(P, u, v) for u, v in zip(e1.images, e2.images))
 
 
 def product_distance(
@@ -78,10 +75,9 @@ def product_distance(
     e1: EmbeddedPoint,
     e2: EmbeddedPoint,
     norm: str = "l1",
-    scan_cap: int = 64,
 ) -> float:
     """Combine per-color tree distances under the chosen product norm."""
-    return product_norm(per_color_distances(P, e1, e2, scan_cap), norm)
+    return product_norm(per_color_distances(P, e1, e2), norm)
 
 
 def product_norm(ds: Sequence[int], norm: str) -> float:

@@ -18,39 +18,28 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .core import Params, RationalBox
 from .cubes import ColorMismatch, CubeId, ResourceLimit, _check_id, realize
 
 
-class ScanExhausted(RuntimeError):
-    """Parent scan hit its level cap before finding a containing cube."""
-
-    def __init__(self, cid: CubeId, k_reached: int, context: str | None = None):
-        msg = (
-            f"no containing cube for {cid} down to level {k_reached}; "
-            "raise scan_cap"
-        )
-        if context:
-            msg += f" ({context})"
-        super().__init__(msg)
-        self.cid = cid
-        self.k_reached = k_reached
-        self.context = context
-
-
-def _ancestors(P: Params, cid: CubeId, scan_cap: int) -> Iterator[tuple]:
+def _ancestors(P: Params, cid: CubeId) -> Iterator[tuple]:
     """Same-color ancestors of cid as (k, gamma) pairs, nearest first.
 
     cid must have passed _check_id. Level j-1 sees level j's lattice
     position u at (u + 1 - m_c)/p, so per axis g' = g + 1 - m_c puts cell g
     in cell q = g' // p one level down, and the cube has an ancestor there
-    iff 1 <= g' - q*p <= p-2 on every axis. A hop tries <= scan_cap levels.
+    iff 1 <= g' - q*p <= p-2 on every axis.
+
+    Every hop ends. The map g -> (g + 1 - m_c) // p has one fixed point g*:
+    0 for c = 0, with digit 1, and -1 for c >= 1, with digit p - m_c, which
+    lies in [2, p-2] as 2 <= m_c <= p-2 whenever p > 2(n+1). Both digits
+    are interior, and the distance to g* shrinks by a factor p per level,
+    so a hop from gamma scans at most (number of base-p digits of
+    max_i |gamma_i - g*|) + 2 levels.
     """
-    if scan_cap < 1:
-        raise ValueError("scan_cap must be positive")
     p, top, lift = P.p, P.p - 2, 1 - P.m[cid.c]
     k, tip = cid.k, cid.gamma
     while True:
@@ -67,35 +56,31 @@ def _ancestors(P: Params, cid: CubeId, scan_cap: int) -> Iterator[tuple]:
             gamma = tuple(cells)
             if inside:
                 break
-            if j == k - scan_cap:
-                raise ScanExhausted(CubeId(cid.c, k, tip), j)
         k, tip = j, gamma
         yield k, tip
 
 
-def parent(P: Params, cid: CubeId, scan_cap: int = 64) -> CubeId:
+def parent(P: Params, cid: CubeId) -> CubeId:
     """Unique vertex of maximal level k' < k whose cube contains cid's cube.
 
     Scans levels k-1, k-2, ... with O(1) exact work per level. A containing
-    cube always exists at some finite depth; scan_cap only guards the loop.
+    cube exists within the digit bound of _ancestors.
     """
     _check_id(P, cid)
-    return CubeId(cid.c, *next(_ancestors(P, cid, scan_cap)))
+    return CubeId(cid.c, *next(_ancestors(P, cid)))
 
 
-def ancestor_chain(
-    P: Params, cid: CubeId, floor_level: int, scan_cap: int = 64
-) -> list[CubeId]:
+def ancestor_chain(P: Params, cid: CubeId, floor_level: int) -> list[CubeId]:
     """Chain cid, parent(cid), ... down to the first level <= floor_level."""
     _check_id(P, cid)
     chain = [cid]
-    up = _ancestors(P, cid, scan_cap)
+    up = _ancestors(P, cid)
     while chain[-1].k > floor_level:
         chain.append(CubeId(cid.c, *next(up)))
     return chain
 
 
-def _meet(P: Params, u: CubeId, v: CubeId, scan_cap: int) -> tuple[int, int, int]:
+def _meet(P: Params, u: CubeId, v: CubeId) -> tuple[int, int, int]:
     """The level where the walks from u and from v meet, and their hops.
 
     Always advances the endpoint at the higher level (u on a tie) by the
@@ -111,8 +96,6 @@ def _meet(P: Params, u: CubeId, v: CubeId, scan_cap: int) -> tuple[int, int, int
     p, top, lift = P.p, P.p - 2, 1 - P.m[u.c]
     ka, a, kb, b = u.k, list(u.gamma), v.k, list(v.gamma)
     hops_u = hops_v = 0
-    if scan_cap < 1 and (ka != kb or a != b):
-        raise ValueError("scan_cap must be positive")
     while ka != kb or a != b:
         up_u = ka >= kb
         if up_u:
@@ -132,8 +115,6 @@ def _meet(P: Params, u: CubeId, v: CubeId, scan_cap: int) -> tuple[int, int, int
             gamma = cells
             if inside:
                 break
-            if j == k - scan_cap:
-                raise ScanExhausted(CubeId(u.c, k, tuple(tip)), j)
         if up_u:
             ka, a = j, gamma
             hops_u += 1
@@ -143,17 +124,17 @@ def _meet(P: Params, u: CubeId, v: CubeId, scan_cap: int) -> tuple[int, int, int
     return ka, hops_u, hops_v
 
 
-def tree_distance(P: Params, u: CubeId, v: CubeId, scan_cap: int = 64) -> int:
+def tree_distance(P: Params, u: CubeId, v: CubeId) -> int:
     """Hop count of the unique path between u and v in their color tree."""
-    _, hops_u, hops_v = _meet(P, u, v, scan_cap)
+    _, hops_u, hops_v = _meet(P, u, v)
     return hops_u + hops_v
 
 
-def tree_path(P: Params, u: CubeId, v: CubeId, scan_cap: int = 64) -> list[CubeId]:
+def tree_path(P: Params, u: CubeId, v: CubeId) -> list[CubeId]:
     """Vertex sequence of the unique u-v path (u and v included)."""
-    k, _, _ = _meet(P, u, v, scan_cap)
-    down = ancestor_chain(P, v, k, scan_cap)[-2::-1]
-    return ancestor_chain(P, u, k, scan_cap) + down
+    k, _, _ = _meet(P, u, v)
+    down = ancestor_chain(P, v, k)[-2::-1]
+    return ancestor_chain(P, u, k) + down
 
 
 @dataclass(frozen=True)
@@ -236,26 +217,28 @@ def brute_force_edges(
 
 
 def _steiner_span(
-    P: Params, ids: Sequence[CubeId], scan_cap: int
+    P: Params, ids: Sequence[CubeId]
 ) -> tuple[list[CubeId], list[tuple[CubeId, CubeId]]]:
-    vertices: set[CubeId] = set(ids)
-    for u, v in combinations(ids, 2):
-        vertices.update(tree_path(P, u, v, scan_cap))
-    ordered = sorted(vertices, key=lambda v: (v.k, v.gamma, v.c))
-    edges = []
-    members = set(ordered)
-    for v in ordered:
-        pv = parent(P, v, scan_cap)
-        if pv in members:
-            edges.append((pv, v))
-    return ordered, edges
+    """Nodes of the subtree spanned by ids, and its (parent, child) edges.
+
+    The span is the union of every id's ancestor chain down to the meet of
+    all ids, which is the lowest of ids[0]'s meets with the others. Nodes
+    are sorted by (k, gamma); edges follow their child's node order.
+    """
+    floor_level = min(_meet(P, ids[0], v)[0] for v in ids)
+    up: dict[CubeId, CubeId | None] = {}
+    for cid in ids:
+        chain = ancestor_chain(P, cid, floor_level)
+        up.update(zip(chain, chain[1:]))
+        up.setdefault(chain[-1], None)
+    ordered = sorted(up, key=lambda v: (v.k, v.gamma, v.c))
+    return ordered, [(up[v], v) for v in ordered if up[v] is not None]
 
 
 def export_subtree(
     P: Params,
     ids: Iterable[CubeId],
     fmt: str = "dot",
-    scan_cap: int = 64,
 ) -> str:
     """Serialize the subtree spanned by ids (union of their pairwise paths).
 
@@ -271,7 +254,7 @@ def export_subtree(
         _check_id(P, cid)
         if cid.c != color:
             raise ColorMismatch(f"colors {color} vs {cid.c}")
-    nodes, edges = _steiner_span(P, id_list, scan_cap)
+    nodes, edges = _steiner_span(P, id_list)
     boxes = {v: realize(P, v) for v in nodes}
     if fmt.lower() == "json":
         index = {v: i for i, v in enumerate(nodes)}

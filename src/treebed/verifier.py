@@ -24,7 +24,6 @@ from typing import Sequence
 from .core import Params
 from .embedding import embed, per_color_distances, product_norm
 from .hyperbolic import HoroPoint, hyp_distance
-from .tree import ScanExhausted
 
 STRATEGIES = ("uniform", "same_horosphere", "vertical", "near_pairs")
 
@@ -35,11 +34,6 @@ MIN_FIT_DHYP = 0.1
 
 class DegenerateSample(ValueError):
     """No sample pair carries slope information (all essentially identical)."""
-
-
-def _check_scan_cap(scan_cap: int) -> None:
-    if scan_cap < 1:
-        raise ValueError(f"scan_cap must be >= 1, got {scan_cap}")
 
 
 @dataclass(frozen=True)
@@ -207,18 +201,10 @@ def _eval_one(
     P: Params,
     pair: tuple[HoroPoint, HoroPoint],
     norm: str,
-    scan_cap: int,
     level: int | None,
 ) -> PairSample:
     z, zp = pair
-    try:
-        e1 = embed(P, z, level)
-        e2 = embed(P, zp, level)
-        per = per_color_distances(P, e1, e2, scan_cap)
-    except ScanExhausted as exc:
-        raise ScanExhausted(
-            exc.cid, exc.k_reached, context=f"while evaluating pair {z} / {zp}"
-        ) from exc
+    per = per_color_distances(P, embed(P, z, level), embed(P, zp, level))
     return PairSample(z, zp, hyp_distance(P, z, zp), product_norm(per, norm), per)
 
 
@@ -226,17 +212,15 @@ def evaluate_pairs(
     P: Params,
     pairs: Sequence[tuple[HoroPoint, HoroPoint]],
     norm: str = "l1",
-    scan_cap: int = 64,
     level: int | None = None,
     plan: SamplePlan | None = None,
 ) -> DistortionReport:
     """Measure every pair, in order; fit fields stay empty."""
-    _check_scan_cap(scan_cap)
     if not pairs:
         raise DegenerateSample("no pairs to evaluate")
     norm = norm.lower()
     start = time.perf_counter()
-    samples = [_eval_one(P, pr, norm, scan_cap, level) for pr in pairs]
+    samples = [_eval_one(P, pr, norm, level) for pr in pairs]
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return DistortionReport(
         n=P.n,
@@ -343,7 +327,6 @@ def vertical_bound_check(
     count: int,
     seed: int,
     region: Region | None = None,
-    scan_cap: int = 64,
 ) -> VerticalCheckReport:
     """Check max-color tree distance >= (dk+1)/(n+1) - 1 on vertical pairs.
 
@@ -353,7 +336,6 @@ def vertical_bound_check(
     form a nested chain. It must hold for every pair; a failure is an
     implementation bug, not noise.
     """
-    _check_scan_cap(scan_cap)
     plan = SamplePlan(
         region=region or default_region(P),
         count=count,
@@ -364,7 +346,7 @@ def vertical_bound_check(
     for z, zp in sample_pairs(P, plan):
         dk = abs(round(z.t) - round(zp.t))
         bound = (dk + 1) / (P.n + 1) - 1.0
-        per = per_color_distances(P, embed(P, z), embed(P, zp), scan_cap)
+        per = per_color_distances(P, embed(P, z), embed(P, zp))
         if max(per) < bound - 1e-12:
             failures.append(
                 {
@@ -411,7 +393,6 @@ def stability_probe(
     norm: str = "l1",
     m_grid: Sequence[float] | None = None,
     level: int | None = None,
-    scan_cap: int = 64,
 ) -> TrendReport:
     """Fit the envelope on scaled copies of the base region.
 
@@ -420,7 +401,6 @@ def stability_probe(
     distances grow linearly with the region while its tree distances only
     grow logarithmically.
     """
-    _check_scan_cap(scan_cap)
     if list(scales) != sorted(scales):
         raise ValueError(f"scales must be increasing, got {scales!r}")
     ls = []
@@ -436,7 +416,6 @@ def stability_probe(
             P,
             sample_pairs(P, plan),
             norm=norm,
-            scan_cap=scan_cap,
             level=level,
             plan=plan,
         )

@@ -62,11 +62,10 @@ class TestQueries:
         assert out.strip() == "3"
 
     def test_tree_dist_scan_cap_limit(self, capsys):
-        code, _, err = run(
-            capsys, "tree-dist", "--n", "1", "--p", "5",
-            "--u", "0,1,3", "--v", "0,0,0", "--scan-cap", "1",
-        )
-        assert code == 3
+        # The hop from (0,1,3) skips level 0; no scan limit stops it.
+        assert run(
+            capsys, "tree-dist", "--n", "1", "--p", "5", "--u", "0,1,3", "--v", "0,0,0"
+        ) == (0, "2\n", "")
 
     def test_embed(self, capsys):
         code, out, _ = run(
@@ -131,12 +130,13 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("v", ["0,0,1", "0,3,1"])
     def test_scan_cap_below_one(self, capsys, v):
+        # There is no scan cap option: argparse refuses the flag at any value.
         code, out, err = run(
             capsys, "tree-dist", "--n", "1", "--p", "5", "--u", "0,0,1", "--v", v,
             "--scan-cap", "0",
         )
         assert (code, out) == (2, "")
-        assert err == "error: --scan-cap must be >= 1, got 0\n"
+        assert "unrecognized arguments: --scan-cap 0" in err
 
     def test_config_without_path(self, capsys):
         code, _, err = run(capsys, "check-covering", "--n", "1", "--p", "5", "--config")
@@ -264,12 +264,16 @@ class TestVerify:
         (["check-separation", "--samples", "-5"], 2),
         (["check-separation", "--gamma-bound", "-1"], 2),
         (["verify", "--samples", "10", "--strategy", "vertical", "--region", "0.2,0.7,5"], 2),
-        # A scan cap below 1 is refused whether or not the data needs a hop.
-        (["tree-dist", "--u", "0,0,1", "--v", "0,0,1", "--scan-cap", "0"], 2),
-        (["tree-dist", "--u", "0,0,1", "--v", "0,3,1", "--scan-cap", "0"], 2),
-        (["tree-dist", "--u", "0,0,1", "--v", "0,0,1", "--scan-cap=-1"], 2),
-        (["verify", "--samples", "10", "--scan-cap", "0"], 2),
-        (["export-subtree", "--id", "0,1,2", "--scan-cap", "0"], 2),
+        # No subcommand has a scan cap option.
+        (["tree-dist", "--u", "0,0,1", "--v", "0,3,1", "--scan-cap", "64"], 2),
+        (["embed", "--point", "0,0.5", "--scan-cap", "64"], 2),
+        (["check-covering", "--scan-cap", "64"], 2),
+        (["verify", "--samples", "10", "--scan-cap", "64"], 2),
+        (["export-subtree", "--id", "0,1,2", "--scan-cap", "64"], 2),
+        # Each hop ends within gamma's base-p digit count plus 2 levels. This
+        # 3,984-digit gamma has the remainder p-1 at each of its 5,700 levels,
+        # so its first hop scans 5,701 levels, and the answer comes promptly.
+        (["tree-dist", "--u", f"0,0,{3 * (5**5700 - 1) // 4}", "--v", "0,0,0"], 0),
     ],
 )
 def test_out_of_domain_input_exits_promptly(argv, code):
@@ -314,7 +318,7 @@ def test_module_entrypoint():
 
 
 # Levels near the origin, around the representable bound (441 at p=5) and far
-# beyond it; lattice points small and large; scan caps including 0 and < 0.
+# beyond it; lattice points small and large.
 _levels = st.one_of(
     st.integers(-6, 12),
     st.integers(-450, 450),
@@ -322,13 +326,12 @@ _levels = st.one_of(
 )
 _gammas = st.one_of(st.integers(-60, 60), st.integers(-10**12, 10**12))
 _cube = st.builds(lambda c, k, g: f"{c},{k},{g}", st.integers(-1, 2), _levels, _gammas)
-_scan_cap = st.one_of(st.integers(-2, 8), st.sampled_from([64, 10**6]))
 
 
 @st.composite
 def _query_argv(draw):
     command = draw(st.sampled_from(["tree-dist", "export-subtree", "check-separation"]))
-    argv = [command, "--n", "1", "--p", "5", f"--scan-cap={draw(_scan_cap)}"]
+    argv = [command, "--n", "1", "--p", "5"]
     if command == "tree-dist":
         argv += [f"--u={draw(_cube)}", f"--v={draw(_cube)}"]
     elif command == "export-subtree":

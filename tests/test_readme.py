@@ -1,10 +1,11 @@
 """The README's library and command-line examples run as written."""
 
+import argparse
 import pathlib
 import re
 import shlex
 
-from treebed.cli import main
+from treebed.cli import build_parser, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,3 +25,17 @@ def test_command_line_example_prints_what_it_says(capsys):
     (argv, printed), = examples
     assert main(shlex.split(argv)) == 0
     assert capsys.readouterr().out == printed + "\n"
+
+
+def test_command_line_flags_exist():
+    # Every flag the command-line section names is accepted somewhere, so a
+    # deleted option cannot linger in the docs.
+    text = README.read_text()
+    section = text[text.index("## Command line"):text.index("## Library example")]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    ap = build_parser()
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = set(ap._option_string_actions)
+    for parser in sub.choices.values():
+        accepted.update(parser._option_string_actions)
+    assert flags and flags <= accepted, sorted(flags - accepted)

@@ -2,7 +2,7 @@ import hashlib
 import json
 import re
 from collections import deque
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from treebed import (
     ColorMismatch,
     CubeId,
-    ScanExhausted,
+    InvalidParams,
     ancestor_chain,
     brute_force_edges,
     export_subtree,
@@ -78,11 +78,6 @@ class TestParent:
                     for g2 in range(-15, 16):
                         assert not realize(p7, CubeId(cid.c, j, (g1, g2))).contains_box(box)
 
-    def test_scan_cap(self, p5):
-        with pytest.raises(ScanExhausted) as exc:
-            parent(p5, CubeId(0, 1, (3,)), scan_cap=1)
-        assert exc.value.k_reached == 0
-
     def test_level_strictly_decreases(self, p5):
         import random
 
@@ -145,14 +140,6 @@ class TestTreeDistance:
     def test_direct_edge(self, p5):
         assert tree_distance(p5, CubeId(0, 1, (0,)), CubeId(0, 0, (0,))) == 1
 
-    def test_zero_cap_only_between_equal_ends(self, p5):
-        # The library keeps answering a walk of no hop at any cap.
-        u = CubeId(0, 1, (2,))
-        assert tree_distance(p5, u, u, 0) == 0
-        assert tree_path(p5, u, u, 0) == [u]
-        with pytest.raises(ValueError, match="scan_cap"):
-            tree_distance(p5, u, CubeId(0, 1, (3,)), 0)
-
     def test_color_mismatch(self, p5):
         with pytest.raises(ColorMismatch):
             tree_distance(p5, CubeId(0, 0, (0,)), CubeId(1, 0, (0,)))
@@ -178,29 +165,45 @@ class TestTreeDistance:
                 assert abs(a.k - b.k) >= 1
 
 
-def _oracle_walk(P, u, v, scan_cap, parents):
-    """The meet loop, one parent_oracle hop at a time.
+def _oracle_walk(P, u, v):
+    """The meet loop, one parent_oracle hop at a time, as the u-v path.
 
-    Returns the u-v path, or the (tip, k_reached) payload of the first scan
-    that would need more than scan_cap levels. A containing cube contains
-    the tip's center, whose lattice point at every lower level lies within
-    |gamma| + 2 of the origin, so that bound makes the oracle exhaustive.
+    A containing cube contains the tip's center, whose lattice point at
+    every lower level lies within |gamma| + 2 of the origin, so that bound
+    makes the oracle exhaustive.
     """
     left, right = [u], [v]
     while left[-1] != right[-1]:
         side = left if left[-1].k >= right[-1].k else right
         tip = side[-1]
-        if tip not in parents:
-            bound = max(abs(g) for g in tip.gamma) + 2
-            parents[tip] = parent_oracle(P, tip, depth=64, bound=bound)
-        up = parents[tip]
-        if tip.k - up.k > scan_cap:
-            return tip, tip.k - scan_cap
-        side.append(up)
+        bound = max(abs(g) for g in tip.gamma) + 2
+        side.append(parent_oracle(P, tip, depth=64, bound=bound))
     return left + right[-2::-1]
 
 
 _PARAMS = {np: validate_params(*np) for np in [(1, 5), (1, 6), (1, 8), (2, 7), (2, 8)]}
+
+
+def _accepted(n_max, p_max):
+    for n, p in product(range(1, n_max + 1), range(2, p_max + 1)):
+        try:
+            yield validate_params(n, p)
+        except InvalidParams:
+            pass
+
+
+_ACCEPTED = list(_accepted(3, 15))
+
+
+def _digits(x, p):
+    """Number of base-p digits of x >= 0 (none for 0)."""
+    d = 0
+    while x:
+        x //= p
+        d += 1
+    return d
+
+
 _cube1 = st.builds(
     CubeId,
     c=st.integers(0, 1),
@@ -217,19 +220,9 @@ _cube2 = st.builds(
 
 def _check_walk_against_oracle(P, u, v):
     v = CubeId(u.c, v.k, v.gamma)
-    parents = {}
-    path = _oracle_walk(P, u, v, 64, parents)
+    path = _oracle_walk(P, u, v)
     assert tree_path(P, u, v) == path
     assert tree_distance(P, u, v) == len(path) - 1
-    for cap in (1, 2, 3):
-        want = _oracle_walk(P, u, v, cap, parents)
-        if isinstance(want, list):
-            assert tree_distance(P, u, v, cap) == len(want) - 1
-            continue
-        for walk in (tree_distance, tree_path):
-            with pytest.raises(ScanExhausted) as exc:
-                walk(P, u, v, cap)
-            assert (exc.value.cid, exc.value.k_reached) == want
 
 
 class TestAncestorKernel:
@@ -260,6 +253,26 @@ class TestAncestorKernel:
     @settings(max_examples=40, deadline=None)
     def test_walk_matches_parent_oracle_n2(self, p, u, v):
         _check_walk_against_oracle(_PARAMS[2, p], u, v)
+
+    @pytest.mark.parametrize("P", _ACCEPTED, ids=lambda P: f"n{P.n}p{P.p}")
+    def test_fixed_point_unique_and_interior(self, P):
+        # A fixed point g of g -> (g + 1 - m_c) // p has (p-1)g in
+        # (-m_c - (p-1), 1 - m_c], so |g| < 2 and the range is exhaustive.
+        for c in P.colors:
+            lift = 1 - P.m[c]
+            fixed = [g for g in range(-P.p, P.p + 1) if (g + lift) // P.p == g]
+            assert fixed == [0 if c == 0 else -1]
+            assert 1 <= (fixed[0] + lift) % P.p <= P.p - 2
+
+    @given(st.sampled_from(_ACCEPTED), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_hop_ends_within_digit_bound(self, P, data):
+        c = data.draw(st.integers(0, P.n))
+        k = data.draw(st.integers(-5, 5))
+        gamma = data.draw(st.tuples(*[st.integers(-10**40, 10**40)] * P.n))
+        g_star = 0 if c == 0 else -1
+        bound = _digits(max(abs(g - g_star) for g in gamma), P.p) + 2
+        assert k - parent(P, CubeId(c, k, gamma)).k <= bound
 
 
 def _adjacency(edges):
@@ -352,6 +365,30 @@ class TestExportSubtree:
     def test_color_mismatch(self, p5):
         with pytest.raises(ColorMismatch):
             export_subtree(p5, [CubeId(0, 0, (0,)), CubeId(1, 0, (0,))])
+
+    @given(st.sampled_from([(1, 5), (2, 7)]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_span_is_the_union_of_pairwise_paths(self, np_, data):
+        P = _PARAMS[np_]
+        c = data.draw(st.integers(0, P.n))
+        axis = st.integers(-P.p**4, P.p**4)
+        cube = st.builds(
+            lambda k, g: CubeId(c, k, g), st.integers(-2, 8), st.tuples(*[axis] * P.n)
+        )
+        ids = data.draw(st.lists(cube, min_size=1, max_size=40))
+        vertices = set(ids)
+        for u, v in combinations(ids, 2):
+            vertices.update(tree_path(P, u, v))
+        nodes = sorted(vertices, key=lambda v: (v.k, v.gamma))
+        index = {v: i for i, v in enumerate(nodes)}
+        edges = [
+            [index[parent(P, v)], i] for i, v in enumerate(nodes) if parent(P, v) in index
+        ]
+        doc = json.loads(export_subtree(P, ids, fmt="json"))
+        assert [(v["k"], tuple(v["gamma"])) for v in doc["nodes"]] == [
+            (v.k, v.gamma) for v in nodes
+        ]
+        assert doc["edges"] == edges
 
     # SHA-256 of the spans of several ids, both formats, which pin the union
     # of the pairwise tree_path vertex sequences and the parent edges.

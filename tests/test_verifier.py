@@ -11,7 +11,6 @@ from treebed import (
     HoroPoint,
     Region,
     SamplePlan,
-    ScanExhausted,
     count_violations,
     embed,
     evaluate_pairs,
@@ -19,7 +18,6 @@ from treebed import (
     hyp_distance,
     sample_pairs,
     stability_probe,
-    tree_distance,
     vertical_bound_check,
 )
 from treebed.verifier import (
@@ -122,32 +120,16 @@ class TestEvaluatePairs:
         with pytest.raises(ValueError, match="norm"):
             evaluate_pairs(p5, pairs, norm="l3")
 
-    def test_scan_exhausted_carries_pair(self, p5):
-        z = HoroPoint(1.0, (0.9,))
-        zp = HoroPoint(1.0, (0.2,))
-        with pytest.raises(ScanExhausted) as exc:
-            evaluate_pairs(p5, [(z, zp)], scan_cap=1)
-        assert str(z) in exc.value.context and str(zp) in exc.value.context
-        # The payload is the walk's in the first color the cap stops.
-        for u, v in zip(embed(p5, z).images, embed(p5, zp).images):
-            try:
-                tree_distance(p5, u, v, 1)
-            except ScanExhausted as first:
-                want = (first.cid, first.k_reached)
-                break
-        else:
-            pytest.fail("no color's walk hits the cap")
-        assert (exc.value.cid, exc.value.k_reached) == want
-
     @pytest.mark.parametrize("cap", [0, -1])
     def test_scan_cap_below_one_refused_up_front(self, p5, cap):
-        # The pair needs no hop, so only an up-front check can refuse it.
+        # Every parent hop ends within its digit bound, so no entry point
+        # takes a scan cap, whatever its value.
         z = HoroPoint(0.0, (0.3,))
-        with pytest.raises(ValueError, match="scan_cap must be >= 1"):
+        with pytest.raises(TypeError, match="scan_cap"):
             evaluate_pairs(p5, [(z, z)], scan_cap=cap)
-        with pytest.raises(ValueError, match="scan_cap must be >= 1"):
+        with pytest.raises(TypeError, match="scan_cap"):
             vertical_bound_check(p5, count=3, seed=0, scan_cap=cap)
-        with pytest.raises(ValueError, match="scan_cap must be >= 1"):
+        with pytest.raises(TypeError, match="scan_cap"):
             stability_probe(p5, small_plan(count=3), [1.0], scan_cap=cap)
 
     def test_empty(self, p5):
