@@ -83,7 +83,7 @@ def _write(args, text: str) -> None:
 def _emit(args, payload: dict, plain: str) -> None:
     _write(
         args,
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
         if args.json
         else plain + "\n",
     )
@@ -93,7 +93,7 @@ def _cmd_embed(args) -> int:
     P = validate_params(args.n, args.p)
     point = _parse_point(args.point, P.n)
     doc = embed(P, point).to_json_dict()
-    _emit(args, doc, json.dumps(doc, sort_keys=True))
+    _emit(args, doc, json.dumps(doc, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
@@ -117,6 +117,8 @@ def _cmd_tree_dist(args) -> int:
 
 def _cmd_check_covering(args) -> int:
     P = validate_params(args.n, args.p)
+    if args.cell_budget < 1:
+        raise _UsageError(f"--cell-budget must be >= 1, got {args.cell_budget}")
     report = verify_covering_level0(P, cell_budget=args.cell_budget)
     plain = (
         f"covered: {report.covered} "

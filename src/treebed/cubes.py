@@ -126,13 +126,13 @@ class SeparationKind(enum.Enum):
 class SeparationVerdict:
     """Classification of a lower-level/higher-level cube pair.
 
-    ``bound`` is the required clearance p^-(k+1) for the higher level k.
-    Disjoint pairs carry the exact squared gap (compared against bound^2 to
-    stay rational); nested pairs carry the exact boundary margin.
+    The required clearance is p^-(k+1) for the higher level k. Disjoint and
+    overlapping pairs carry the exact squared gap (a disjoint pair is far
+    when it reaches the clearance squared); nested pairs carry the exact
+    boundary margin.
     """
 
     kind: SeparationKind
-    bound: Fraction
     gap_sq: Fraction | None = None
     margin: Fraction | None = None
 
@@ -178,7 +178,6 @@ def separation_verdict(P: Params, low: CubeId, high: CubeId) -> SeparationVerdic
         gap2 += d * d
         margin = min(margin, a, sW - W - a)
     up, dn = P.scale(k)  # one unit is up/(D*dn)
-    bound = Fraction(up, dn * p)  # p^-(k+1)
     if gap2:
         kind = (
             SeparationKind.DISJOINT_FAR
@@ -186,18 +185,14 @@ def separation_verdict(P: Params, low: CubeId, high: CubeId) -> SeparationVerdic
             else SeparationKind.VIOLATION
         )
         gap_sq = Fraction(gap2 * up * up, (D * dn) ** 2)
-        return SeparationVerdict(kind=kind, bound=bound, gap_sq=gap_sq)
+        return SeparationVerdict(kind=kind, gap_sq=gap_sq)
     if margin < 0:
         # Boxes overlap without containment: always a violation.
-        return SeparationVerdict(
-            kind=SeparationKind.VIOLATION, bound=bound, gap_sq=Fraction(0)
-        )
+        return SeparationVerdict(kind=SeparationKind.VIOLATION, gap_sq=Fraction(0))
     kind = (
         SeparationKind.NESTED_DEEP if margin * p >= D else SeparationKind.VIOLATION
     )
-    return SeparationVerdict(
-        kind=kind, bound=bound, margin=Fraction(margin * up, D * dn)
-    )
+    return SeparationVerdict(kind=kind, margin=Fraction(margin * up, D * dn))
 
 
 @dataclass(frozen=True)
@@ -233,7 +228,6 @@ def verify_covering_level0(
     P: Params,
     colors: Sequence[int] | None = None,
     cell_budget: int = 1_000_000,
-    max_witnesses: int = 32,
 ) -> CoveringReport:
     """Exact decision: do the level-0 patterns of the given colors cover R^n?
 
@@ -246,7 +240,7 @@ def verify_covering_level0(
     uncovered cells are counted by inclusion-exclusion over color subsets S,
     sum_S (-1)^|S| t_S^n with t_S the number of axis cells in every color of
     S: O(2^(n+1) m) work, exact, not sampled. Cells are enumerated, in
-    lexicographic order, only to collect witnesses. Covering at level 0
+    lexicographic order, only to collect up to 32 witnesses. Covering at level 0
     implies covering at every level because level sets are images of the
     level-0 set under iterates of the expansion H.
     """
@@ -278,7 +272,7 @@ def verify_covering_level0(
     )
     witnesses = [
         tuple(centers[i] for i in cell)
-        for cell in islice(gaps, min(uncovered, max(max_witnesses, 0)))
+        for cell in islice(gaps, min(uncovered, 32))
     ]
     return CoveringReport(
         n=P.n,

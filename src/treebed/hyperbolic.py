@@ -31,10 +31,6 @@ class HoroPoint:
         if not (math.isfinite(self.t) and all(map(math.isfinite, self.x))):
             raise ValueError(f"non-finite coordinate in t={self.t}, x={self.x}")
 
-    @staticmethod
-    def of(t: float, x: Sequence[float]) -> "HoroPoint":
-        return HoroPoint(float(t), tuple(float(c) for c in x))
-
 
 def _check_dim(P: Params, z: HoroPoint) -> None:
     if len(z.x) != P.n:
@@ -49,7 +45,8 @@ def hyp_distance(P: Params, z: HoroPoint, zp: HoroPoint) -> float:
     obtained from the curvature -1 upper-half-space law under the coordinate
     change y = e^{-sigma*t}. Cross-validated against numerical geodesic
     integration in the test suite. Evaluated via log1p/sqrt so nearby points
-    do not lose precision to acosh near 1.
+    do not lose precision to acosh near 1. Where u*(u+2) overflows, though u
+    is finite, acosh(1+u) = ln(2u) to within O(1/u), below one ulp there.
     """
     _check_dim(P, z)
     _check_dim(P, zp)
@@ -64,7 +61,10 @@ def hyp_distance(P: Params, z: HoroPoint, zp: HoroPoint) -> float:
         u = math.inf
     if not math.isfinite(u):
         raise DistanceOverflow(f"distance overflow between {z} and {zp}")
-    return math.log1p(u + math.sqrt(u * (u + 2.0))) / s
+    w = u * (u + 2.0)
+    if math.isinf(w):
+        return (math.log(u) + math.log(2.0)) / s
+    return math.log1p(u + math.sqrt(w)) / s
 
 
 def horo_distance(

@@ -164,13 +164,16 @@ def _level_contains_box(
     return True
 
 
+# Largest window brute_force_edges enumerates; its pair scan is quadratic.
+_VERTEX_BUDGET = 200_000
+
+
 def brute_force_edges(
     P: Params,
     c: int,
     k_min: int,
     k_max: int,
     gamma_bound: int,
-    vertex_budget: int = 200_000,
 ) -> EdgeSet:
     """Direct transcription of the edge definition over a finite window.
 
@@ -185,10 +188,10 @@ def brute_force_edges(
         return EdgeSet(c, k_min, k_max, gamma_bound, (), frozenset())
     levels = list(range(k_min, k_max + 1))
     per_level = (2 * gamma_bound + 1) ** P.n
-    if per_level * len(levels) > vertex_budget:
+    if per_level * len(levels) > _VERTEX_BUDGET:
         raise ResourceLimit(
             f"window holds {per_level * len(levels)} vertices; "
-            f"budget is {vertex_budget}"
+            f"budget is {_VERTEX_BUDGET}"
         )
     axis = range(-gamma_bound, gamma_bound + 1)
     verts = [
@@ -271,7 +274,7 @@ def export_subtree(
             ],
             "edges": [[index[a], index[b]] for a, b in edges],
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if fmt.lower() != "dot":
         raise ValueError(f"unknown format {fmt!r}; expected 'dot' or 'json'")
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Params
+from .cubes import ResourceLimit
 from .embedding import embed, per_color_distances, product_norm
 from .hyperbolic import HoroPoint, hyp_distance
 
@@ -131,7 +132,12 @@ def sample_pairs(
         else:  # near_pairs
             z = _rand_point(P, rng, region)
             dt = rng.uniform(-1.0, 1.0)
-            scale = float(P.p) ** (-z.t)
+            try:
+                scale = float(P.p) ** (-z.t)
+            except OverflowError:
+                raise ResourceLimit(
+                    f"near_pairs offset scale p^-t overflows at t={z.t}, p={P.p}"
+                ) from None
             dx = tuple(rng.uniform(-scale, scale) for _ in range(P.n))
             zp = HoroPoint(z.t + dt, tuple(a + b for a, b in zip(z.x, dx)))
             while hyp_distance(P, z, zp) > 2.0:
@@ -176,7 +182,8 @@ class DistortionReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        doc = self.to_json_dict()
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -232,19 +239,14 @@ def evaluate_pairs(
     )
 
 
-def count_violations(
-    samples: Sequence[PairSample],
-    l: float,
-    m: float,
-    min_dhyp: float = MIN_FIT_DHYP,
-    tol: float = 1e-9,
-) -> int:
-    """Pairs (above the small-distance floor) breaking either envelope side."""
+def count_violations(samples: Sequence[PairSample], l: float, m: float) -> int:
+    """Pairs (above the small-distance floor) breaking either envelope side,
+    beyond a tolerance of 1e-9."""
     bad = 0
     for s in samples:
-        if s.d_hyp < min_dhyp:
+        if s.d_hyp < MIN_FIT_DHYP:
             continue
-        if s.d_tree > l * s.d_hyp + m + tol or s.d_hyp > l * s.d_tree + m + tol:
+        if s.d_tree > l * s.d_hyp + m + 1e-9 or s.d_hyp > l * s.d_tree + m + 1e-9:
             bad += 1
     return bad
 
@@ -311,50 +313,29 @@ class VerticalCheckReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_json_dict(self) -> dict:
-        return {
-            "params": {"n": self.n, "p": self.p},
-            "count": self.count,
-            "seed": self.seed,
-            "passed": self.passed,
-            "n_failures": len(self.failures),
-            "failures": list(self.failures),
-        }
 
-
-def vertical_bound_check(
-    P: Params,
-    count: int,
-    seed: int,
-    region: Region | None = None,
-) -> VerticalCheckReport:
+def vertical_bound_check(P: Params, count: int, seed: int) -> VerticalCheckReport:
     """Check max-color tree distance >= (dk+1)/(n+1) - 1 on vertical pairs.
 
     The bound follows from the covering of every horosphere by the n+1
     colors: of the dk+1 integer levels a vertical geodesic crosses, some
     color owns at least (dk+1)/(n+1) of the crossing points, and those cubes
     form a nested chain. It must hold for every pair; a failure is an
-    implementation bug, not noise.
+    implementation bug, not noise. Pairs come from the default region.
     """
-    plan = SamplePlan(
-        region=region or default_region(P),
-        count=count,
-        strategy="vertical",
-        seed=seed,
-    )
+    plan = SamplePlan(default_region(P), count, "vertical", seed)
     failures = []
-    for z, zp in sample_pairs(P, plan):
-        dk = abs(round(z.t) - round(zp.t))
+    for s in evaluate_pairs(P, sample_pairs(P, plan)).samples:
+        dk = abs(round(s.z.t) - round(s.zp.t))
         bound = (dk + 1) / (P.n + 1) - 1.0
-        per = per_color_distances(P, embed(P, z), embed(P, zp))
-        if max(per) < bound - 1e-12:
+        if max(s.per_color) < bound - 1e-12:
             failures.append(
                 {
-                    "t": z.t,
-                    "tp": zp.t,
-                    "x": list(z.x),
+                    "t": s.z.t,
+                    "tp": s.zp.t,
+                    "x": list(s.z.x),
                     "bound": bound,
-                    "per_color": list(per),
+                    "per_color": list(s.per_color),
                 }
             )
     return VerticalCheckReport(
@@ -377,24 +358,15 @@ class TrendReport:
             worst = max(worst, (b - a) / a)
         return worst
 
-    def to_json_dict(self) -> dict:
-        return {
-            "scales": list(self.scales),
-            "l": list(self.ls),
-            "m": list(self.ms),
-            "max_rel_increase": self.max_rel_increase,
-        }
-
 
 def stability_probe(
     P: Params,
     base_plan: SamplePlan,
     scales: Sequence[float],
-    norm: str = "l1",
     m_grid: Sequence[float] | None = None,
     level: int | None = None,
 ) -> TrendReport:
-    """Fit the envelope on scaled copies of the base region.
+    """Fit the L1 envelope on scaled copies of the base region.
 
     A sound embedding keeps the slope flat as the region grows; a broken one
     (e.g. every image forced to level 0) cannot, because hyperbolic
@@ -412,13 +384,7 @@ def stability_probe(
             strategy=base_plan.strategy,
             seed=base_plan.seed + i,
         )
-        report = evaluate_pairs(
-            P,
-            sample_pairs(P, plan),
-            norm=norm,
-            level=level,
-            plan=plan,
-        )
+        report = evaluate_pairs(P, sample_pairs(P, plan), level=level, plan=plan)
         fitted = fit_qi_constants(report, m_grid)
         ls.append(fitted.l)
         ms.append(fitted.m)

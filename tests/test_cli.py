@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -195,6 +196,17 @@ class TestVerify:
         run(capsys, *argv, "--threads", "3", "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_fit_finite_where_distances_exceed_1e154(self, capsys):
+        # Pairs on a region 100..140 high with |x| up to 1000 have u*(u+2)
+        # beyond the double range; their distances, and so l, stay finite.
+        code, out, _ = run(
+            capsys, "verify", "--n", "1", "--p", "5", "--samples", "200",
+            "--region=100,140,1000",
+        )
+        assert code == 0
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert math.isfinite(doc["fit"]["l"]) and doc["fit"]["l"] >= 1.0
+
     def test_csv_output(self, capsys, tmp_path):
         csv_file = tmp_path / "pairs.csv"
         code, _, _ = run(
@@ -274,6 +286,11 @@ class TestVerify:
         # 3,984-digit gamma has the remainder p-1 at each of its 5,700 levels,
         # so its first hop scans 5,701 levels, and the answer comes promptly.
         (["tree-dist", "--u", f"0,0,{3 * (5**5700 - 1) // 4}", "--v", "0,0,0"], 0),
+        # u is finite though u*(u+2) overflows: the distance, about 240, is too.
+        (["distance", "--z", "120,0", "--w", "120,0.5", "--json"], 0),
+        # p^-t overflows in the near_pairs offsets, below the level bound.
+        (["verify", "--samples", "5", "--strategy", "near_pairs", "--region=-445,-443,1"], 3),
+        (["check-covering", "--cell-budget", "0"], 2),
     ],
 )
 def test_out_of_domain_input_exits_promptly(argv, code):
@@ -285,6 +302,12 @@ def test_out_of_domain_input_exits_promptly(argv, code):
     )
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
+    if code == 0 and "--json" in argv:
+        json.loads(proc.stdout, parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 @pytest.mark.parametrize(

@@ -224,13 +224,13 @@ def _reference_verdict(P, low, high):
     if gap_sq > 0:
         far = gap_sq >= bound * bound
         kind = SeparationKind.DISJOINT_FAR if far else SeparationKind.VIOLATION
-        return SeparationVerdict(kind=kind, bound=bound, gap_sq=gap_sq)
+        return SeparationVerdict(kind=kind, gap_sq=gap_sq)
     margin = boundary_margin(outer, inner)
     if margin is None:
-        return SeparationVerdict(kind=SeparationKind.VIOLATION, bound=bound, gap_sq=gap_sq)
+        return SeparationVerdict(kind=SeparationKind.VIOLATION, gap_sq=gap_sq)
     deep = margin >= bound
     kind = SeparationKind.NESTED_DEEP if deep else SeparationKind.VIOLATION
-    return SeparationVerdict(kind=kind, bound=bound, margin=margin)
+    return SeparationVerdict(kind=kind, margin=margin)
 
 
 def _outcome(fn, P, low, high):

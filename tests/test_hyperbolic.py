@@ -1,5 +1,7 @@
+import decimal
 import math
 import random
+import sys
 
 import pytest
 from scipy.integrate import quad
@@ -33,6 +35,19 @@ def geodesic_oracle(P, z, zp):
     )
     assert err < 1e-8
     return val / s
+
+
+def _decimal_distance(P, z, zp):
+    """acosh(1 + u)/sigma at 60 digits from the exact float coordinates."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        D = decimal.Decimal
+        s = D(P.p).ln()
+        half = s * (D(z.t) - D(zp.t)) / 2
+        sinh = (half.exp() - (-half).exp()) / 2
+        r2 = sum((D(a) - D(b)) ** 2 for a, b in zip(z.x, zp.x))
+        u = 2 * sinh**2 + s * s / 2 * (s * (D(z.t) + D(zp.t))).exp() * r2
+        return float((1 + u + (u * (u + 2)).sqrt()).ln() / s)
 
 
 class TestHypDistance:
@@ -105,6 +120,29 @@ class TestHypDistance:
             hyp_distance(p5, HoroPoint(300.0, (0.0,)), HoroPoint(300.0, (1e30,)))
         with pytest.raises(DistanceOverflow):
             hyp_distance(p5, HoroPoint(0.0, (1e300,)), HoroPoint(0.0, (-1e300,)))
+
+    @pytest.mark.parametrize("params", ["p5", "p7"])
+    def test_huge_u_against_decimal_reference(self, params, request):
+        # u from 1e150 up to about DBL_MAX, where u*(u+2) overflows from
+        # 1.3e154 on; half horizontal, half vertical pairs.
+        P = request.getfixturevalue(params)
+        rng = random.Random(18)
+        s = P.sigma
+        for i in range(300):
+            log_u = rng.uniform(math.log(1e150), math.log(sys.float_info.max) - 1e-9)
+            if i % 2:
+                dt = (log_u + math.log(2.0)) / s
+                t = rng.uniform(-1.0, 1.0)
+                x = tuple(rng.uniform(-9, 9) for _ in range(P.n))
+                z, zp = HoroPoint(t + dt / 2, x), HoroPoint(t - dt / 2, x)
+            else:
+                a = rng.uniform(max(-700.0, log_u - 700.0), 700.0)  # s*(t+t')
+                dt = rng.uniform(-5.0, 5.0)
+                r = math.exp((log_u - a - math.log(0.5 * s * s)) / 2)
+                z = HoroPoint((a / s + dt) / 2, (0.0,) * P.n)
+                zp = HoroPoint((a / s - dt) / 2, (r,) + (0.0,) * (P.n - 1))
+            ref = _decimal_distance(P, z, zp)
+            assert abs(hyp_distance(P, z, zp) - ref) <= 1e-14 * ref
 
     def test_dimension_mismatch(self, p7):
         with pytest.raises(DimensionMismatch):

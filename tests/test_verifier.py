@@ -289,7 +289,6 @@ class TestVerticalBoundCheck:
     def test_random_pairs_all_pass(self, p5):
         report = vertical_bound_check(p5, count=200, seed=5)
         assert report.passed
-        assert report.to_json_dict()["n_failures"] == 0
 
     def test_n2(self, p7):
         assert vertical_bound_check(p7, count=100, seed=6).passed
