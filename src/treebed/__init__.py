@@ -40,7 +40,6 @@ from .hyperbolic import (
     HoroPoint,
     horo_distance,
     hyp_distance,
-    project,
 )
 from .tree import (
     EdgeSet,
@@ -79,7 +78,6 @@ __all__ = [
     "HoroPoint",
     "hyp_distance",
     "horo_distance",
-    "project",
     "DistanceOverflow",
     "CubeId",
     "realize",

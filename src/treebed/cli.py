@@ -289,13 +289,18 @@ def _parser() -> argparse.ArgumentParser:
 
 def _apply_config(argv: list[str]) -> list[str]:
     # Flags win over config values: config entries are prepended as defaults
-    # right after the subcommand token.
-    if "--config" not in argv:
+    # right after the subcommand token. A flag counts as given in both the
+    # "--flag value" and the "--flag=value" form.
+    flags = [a.split("=", 1)[0] for a in argv]
+    if "--config" not in flags:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
+    i = flags.index("--config")
+    if argv[i] != "--config":
+        path, rest = argv[i].split("=", 1)[1], argv[:i] + argv[i + 1 :]
+    elif i + 1 < len(argv):
+        path, rest = argv[i + 1], argv[:i] + argv[i + 2 :]
+    else:
         raise _UsageError("--config needs a file path")
-    path = argv[i + 1]
     with open(path) as fh:
         conf = json.load(fh)
     if not isinstance(conf, dict):
@@ -303,14 +308,13 @@ def _apply_config(argv: list[str]) -> list[str]:
     extra: list[str] = []
     for key, value in conf.items():
         flag = "--" + key.replace("_", "-")
-        if flag in argv:
+        if flag in flags:
             continue
         if isinstance(value, bool):
             if value:
                 extra.append(flag)
         else:
             extra.extend([flag, str(value)])
-    rest = argv[:i] + argv[i + 2 :]
     if not rest:
         return rest
     return [rest[0]] + extra + rest[1:]
@@ -319,8 +323,7 @@ def _apply_config(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if "--config" in argv:
-            argv = _apply_config(argv)
+        argv = _apply_config(argv)
         try:
             args = _parser().parse_args(argv)
         except SystemExit as exc:

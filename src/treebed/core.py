@@ -48,6 +48,9 @@ class Params:
                        is shifted along the diagonal by m_c/(p-1), which is
                        c/(n+1) exactly when (n+1) divides p-1,
     * ``D = p(p-1)``   common denominator of the per-axis map,
+    * ``C``            slab offsets C_c = p*m_c - 1: at level 0, lattice
+                       point g's slab of color c starts at (gD + C_c + p)/D,
+    * ``W``            slab width D - 2(p-1), that is 1 - 2/p in units of 1/D,
     * ``level_bound``  largest |level| whose heights keep hyperbolic
                        distances representable: log(DBL_MAX)/ln p, about
                        441 at p = 5,
@@ -60,6 +63,8 @@ class Params:
     p: int
     m: tuple[int, ...]
     D: int
+    C: tuple[int, ...]
+    W: int
     level_bound: float
     sigma: float
 
@@ -73,12 +78,11 @@ class Params:
 
     def slab(self, c: int, k: int, g: int) -> tuple[Fraction, Fraction]:
         """Exact closed slab of lattice point g on one axis at color c, level k."""
-        p, D = self.p, self.D
         up, dn = self.scale(k)
-        # In units of 1/D, e is p and 1/p is p - 1.
-        lo = up * (g * D + (self.m[c] - 1) * p + p - 1) + p * dn
-        den = D * dn
-        return Fraction(lo, den), Fraction(lo + up * (D - 2 * (p - 1)), den)
+        # In units of 1/D, e is p.
+        lo = up * (g * self.D + self.C[c]) + self.p * dn
+        den = self.D * dn
+        return Fraction(lo, den), Fraction(lo + up * self.W, den)
 
     def positions(self, c: int, k: int, x: Sequence) -> Iterator[tuple[int, int]]:
         """Exact lattice position u = num/den of x per axis, as (num, den)
@@ -86,13 +90,13 @@ class Params:
         if len(x) != self.n:
             raise DimensionMismatch(f"expected dimension {self.n}, got {len(x)}")
         up, dn = self.scale(k)
-        # With x = a/b: num = a*A + b*B and den = b*C.
+        # With x = a/b: num = a*A + b*B and den = b*G.
         A = self.D * dn
         B = self.p * (up * (1 - self.m[c]) - dn)
-        C = self.D * up
+        G = self.D * up
         for xi in x:
             a, b = (xi if isinstance(xi, float) else Fraction(xi)).as_integer_ratio()
-            yield a * A + b * B, b * C
+            yield a * A + b * B, b * G
 
 
 def validate_params(n: int, p: int) -> Params:
@@ -117,11 +121,14 @@ def validate_params(n: int, p: int) -> Params:
         )
     assert p > 2 * (n + 1)
     sigma = math.log(p)
+    m = tuple(c * (p - 1) // (n + 1) for c in range(n + 1))
     return Params(
         n=n,
         p=p,
-        m=tuple(c * (p - 1) // (n + 1) for c in range(n + 1)),
+        m=m,
         D=p * (p - 1),
+        C=tuple(p * mc - 1 for mc in m),
+        W=(p - 1) * (p - 2),
         level_bound=_LOG_FLOAT_MAX / sigma,
         sigma=sigma,
     )

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
+from operator import index
 from typing import Sequence
 
 from .core import (
@@ -72,6 +73,12 @@ def _check_id(P: Params, cid: CubeId) -> None:
         raise ColorMismatch(f"color {cid.c} outside 0..{P.n}")
     if len(cid.gamma) != P.n:
         raise DimensionMismatch(f"gamma dim {len(cid.gamma)} vs n={P.n}")
+    try:
+        index(cid.k)
+        for g in cid.gamma:
+            index(g)
+    except TypeError:
+        raise TypeError(f"cube id needs integer k and gamma, got {cid}") from None
     check_level(P, cid.k)
 
 
@@ -151,13 +158,12 @@ def separation_verdict(P: Params, low: CubeId, high: CubeId) -> SeparationVerdic
     Decided in the integers of the per-axis map (see :class:`Params`): on
     the higher level's grid, in units of 1/(D p^k) for k = high.k, each
     axis's outer slab is [s(gD + C), s(gD + C) + sW] and its inner slab
-    [g'D + C, g'D + C + W], with s = p^(high.k - low.k),
-    C = (m_c - 1)p + p - 1 and W = D - 2(p - 1), after the common offset
-    p*p^k is dropped. The bound p^-(k+1) is D/p of these units at every
-    level, so both tests are integer comparisons and the only Fraction
-    built is the returned witness. ``realize`` with
-    ``box_gap_sq`` and ``boundary_margin`` is the reference this is tested
-    against.
+    [g'D + C, g'D + C + W], with s = p^(high.k - low.k), C = P.C[c] and
+    W = P.W, after the common offset p*p^k is dropped. The bound p^-(k+1)
+    is D/p of these units at every level, so both tests are integer
+    comparisons and the only Fraction built is the returned witness.
+    ``realize`` with ``box_gap_sq`` and ``boundary_margin`` is the reference
+    this is tested against.
     """
     if low.c != high.c:
         raise ColorMismatch(f"colors {low.c} vs {high.c}")
@@ -165,10 +171,9 @@ def separation_verdict(P: Params, low: CubeId, high: CubeId) -> SeparationVerdic
         raise LevelOrder(f"need low.k < high.k, got {low.k} >= {high.k}")
     _check_id(P, low)
     _check_id(P, high)
-    p, D, k = P.p, P.D, high.k
+    p, D, W, k = P.p, P.D, P.W, high.k
     s = p ** (k - low.k)
-    shift = (s - 1) * ((P.m[low.c] - 1) * p + p - 1)  # (s-1)*C
-    W = D - 2 * (p - 1)
+    shift = (s - 1) * P.C[low.c]
     sW = s * W
     gap2 = 0
     margin = sW  # above every axis's margin

@@ -43,15 +43,14 @@ def embedding_level(z: HoroPoint) -> int:
     return math.floor(z.t + 0.5)
 
 
-def embed(P: Params, z: HoroPoint, level: int | None = None) -> EmbeddedPoint:
-    """Image of z under every color map. ``level`` overrides the rounded
-    level; it exists for negative-control experiments, not for normal use.
+def embed(P: Params, z: HoroPoint) -> EmbeddedPoint:
+    """Image of z under every color map, at the level embedding_level(z).
 
     Raises:
         ResourceLimit: the level lies beyond the heights |t| <= log(DBL_MAX)/ln p
             at which hyperbolic distances are representable at all.
     """
-    k = embedding_level(z) if level is None else level
+    k = embedding_level(z)
     check_level(P, k)
     return EmbeddedPoint(
         images=tuple(nearest_in_level(P, c, k, z.x) for c in P.colors),

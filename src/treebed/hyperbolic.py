@@ -74,8 +74,3 @@ def horo_distance(
     if len(x) != P.n or len(xp) != P.n:
         raise DimensionMismatch(f"dims {len(x)}, {len(xp)} vs n={P.n}")
     return float(P.p) ** k * math.dist(x, xp)
-
-
-def project(z: HoroPoint, k: float) -> HoroPoint:
-    """Vertical projection of z onto the level-k horosphere."""
-    return HoroPoint(float(k), z.x)

@@ -141,10 +141,6 @@ def tree_path(P: Params, u: CubeId, v: CubeId) -> list[CubeId]:
 class EdgeSet:
     """Brute-force edge enumeration over a finite window of one color tree."""
 
-    color: int
-    k_min: int
-    k_max: int
-    gamma_bound: int
     vertices: tuple[CubeId, ...]
     edges: frozenset[tuple[CubeId, CubeId]]
 
@@ -185,7 +181,7 @@ def brute_force_edges(
     Test oracle only; quadratic in the window size.
     """
     if k_min > k_max:
-        return EdgeSet(c, k_min, k_max, gamma_bound, (), frozenset())
+        return EdgeSet((), frozenset())
     levels = list(range(k_min, k_max + 1))
     per_level = (2 * gamma_bound + 1) ** P.n
     if per_level * len(levels) > _VERTEX_BUDGET:
@@ -216,7 +212,7 @@ def brute_force_edges(
                     ):
                         continue
                     edges.add((vp, v))
-    return EdgeSet(c, k_min, k_max, gamma_bound, tuple(verts), frozenset(edges))
+    return EdgeSet(tuple(verts), frozenset(edges))
 
 
 def _steiner_span(

@@ -204,14 +204,9 @@ class DistortionReport:
         return out.getvalue()
 
 
-def _eval_one(
-    P: Params,
-    pair: tuple[HoroPoint, HoroPoint],
-    norm: str,
-    level: int | None,
-) -> PairSample:
+def _eval_one(P: Params, pair: tuple[HoroPoint, HoroPoint], norm: str) -> PairSample:
     z, zp = pair
-    per = per_color_distances(P, embed(P, z, level), embed(P, zp, level))
+    per = per_color_distances(P, embed(P, z), embed(P, zp))
     return PairSample(z, zp, hyp_distance(P, z, zp), product_norm(per, norm), per)
 
 
@@ -219,7 +214,6 @@ def evaluate_pairs(
     P: Params,
     pairs: Sequence[tuple[HoroPoint, HoroPoint]],
     norm: str = "l1",
-    level: int | None = None,
     plan: SamplePlan | None = None,
 ) -> DistortionReport:
     """Measure every pair, in order; fit fields stay empty."""
@@ -227,7 +221,7 @@ def evaluate_pairs(
         raise DegenerateSample("no pairs to evaluate")
     norm = norm.lower()
     start = time.perf_counter()
-    samples = [_eval_one(P, pr, norm, level) for pr in pairs]
+    samples = [_eval_one(P, pr, norm) for pr in pairs]
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return DistortionReport(
         n=P.n,
@@ -303,10 +297,6 @@ def fit_qi_constants(
 class VerticalCheckReport:
     """Outcome of the exact vertical lower-bound check."""
 
-    n: int
-    p: int
-    count: int
-    seed: int
     failures: tuple[dict, ...]
 
     @property
@@ -338,25 +328,15 @@ def vertical_bound_check(P: Params, count: int, seed: int) -> VerticalCheckRepor
                     "per_color": list(s.per_color),
                 }
             )
-    return VerticalCheckReport(
-        n=P.n, p=P.p, count=count, seed=seed, failures=tuple(failures[:16])
-    )
+    return VerticalCheckReport(tuple(failures[:16]))
 
 
 @dataclass(frozen=True)
 class TrendReport:
-    """Fitted slope per region scale, plus the worst consecutive increase."""
+    """Fitted slope and additive constant per region scale."""
 
-    scales: tuple[float, ...]
     ls: tuple[float, ...]
     ms: tuple[float, ...]
-
-    @property
-    def max_rel_increase(self) -> float:
-        worst = 0.0
-        for a, b in zip(self.ls, self.ls[1:]):
-            worst = max(worst, (b - a) / a)
-        return worst
 
 
 def stability_probe(
@@ -364,7 +344,6 @@ def stability_probe(
     base_plan: SamplePlan,
     scales: Sequence[float],
     m_grid: Sequence[float] | None = None,
-    level: int | None = None,
 ) -> TrendReport:
     """Fit the L1 envelope on scaled copies of the base region.
 
@@ -384,8 +363,8 @@ def stability_probe(
             strategy=base_plan.strategy,
             seed=base_plan.seed + i,
         )
-        report = evaluate_pairs(P, sample_pairs(P, plan), level=level, plan=plan)
+        report = evaluate_pairs(P, sample_pairs(P, plan), plan=plan)
         fitted = fit_qi_constants(report, m_grid)
         ls.append(fitted.l)
         ms.append(fitted.m)
-    return TrendReport(tuple(float(s) for s in scales), tuple(ls), tuple(ms))
+    return TrendReport(tuple(ls), tuple(ms))

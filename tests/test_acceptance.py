@@ -12,6 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import treebed.embedding
 from treebed import (
     CubeId,
     HoroPoint,
@@ -207,7 +208,7 @@ def test_criterion_6_vertical_lower_bound():
     )
 
 
-def test_criterion_7_envelope_stability():
+def test_criterion_7_envelope_stability(monkeypatch):
     P = validate_params(1, 5)
     # the default additive grid (up to 50) swamps desk-scale regions, where
     # every distance is < 50; this narrower grid keeps the fit in the slope
@@ -231,7 +232,9 @@ def test_criterion_7_envelope_stability():
     fresh_bad = count_violations(fresh.samples, fit1.l, 1.05 * fit1.m)
     fresh_ok = fresh_bad <= 100  # 1% of 10^4
 
-    broken = stability_probe(P, base, [1.0, 2.0, 4.0], m_grid=grid, level=0)
+    # Negative control: every image forced to level 0.
+    monkeypatch.setattr(treebed.embedding, "embedding_level", lambda z: 0)
+    broken = stability_probe(P, base, [1.0, 2.0, 4.0], m_grid=grid)
     control_ok = broken.ls[0] < broken.ls[1] < broken.ls[2]
 
     dt = time.perf_counter() - t0

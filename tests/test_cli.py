@@ -95,6 +95,17 @@ class TestQueries:
         doc = json.loads(out)
         assert len(doc["nodes"]) == 4 and len(doc["edges"]) == 3
 
+    @pytest.mark.parametrize("given", [["--id", "0,1,3"], ["--id=0,1,3"]])
+    def test_explicit_id_wins_over_config(self, capsys, tmp_path, given):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"id": "0,1,2"}))
+        code, out, _ = run(
+            capsys, "--config", str(conf), "export-subtree", "--n", "1",
+            "--p", "5", "--format", "json", *given,
+        )
+        assert code == 0
+        assert len(json.loads(out)["nodes"]) == 1
+
     def test_export_subtree_ids_file(self, capsys, tmp_path):
         ids = tmp_path / "ids.txt"
         ids.write_text("0,1,2\n# comment\n0,1,3\n")
@@ -231,6 +242,17 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads((tmp_path / "r2.json").read_text())["n_samples"] == 30
+
+    def test_config_equals_form(self, capsys, tmp_path):
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps({"samples": 7, "seed": 3}))
+        code, _, _ = run(
+            capsys, f"--config={conf}", "verify", "--n", "1", "--p", "5",
+            "--output", str(tmp_path / "r.json"),
+        )
+        assert code == 0
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert (doc["n_samples"], doc["plan"]["seed"]) == (7, 3)
 
     # SHA-256 of the per-pair CSV of `verify --samples 500 --seed 1`, d_hyp
     # column left out (it goes through libm): the sampled points, the tree

@@ -48,6 +48,14 @@ class TestRealize:
             side = F(5, 7) * F(1, 7) ** k
             assert all(hi - lo == side for lo, hi in zip(b.lo, b.hi))
 
+    def test_non_integer_fields(self, p5):
+        with pytest.raises(TypeError, match="integer"):
+            realize(p5, CubeId(0, 1, (0.5,)))
+        with pytest.raises(TypeError, match="integer"):
+            realize(p5, CubeId(0, F(1, 2), (0,)))
+        with pytest.raises(TypeError, match="integer"):
+            separation_verdict(p5, CubeId(0, 0, (0,)), CubeId(0, 1, (1.5,)))
+
     def test_level_minus1_is_expansion_of_level0(self, p5):
         # H([1/5,4/5]) = 5x - 1 on endpoints
         b = realize(p5, CubeId(0, -1, (0,)))

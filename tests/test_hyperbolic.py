@@ -12,7 +12,6 @@ from treebed import (
     HoroPoint,
     horo_distance,
     hyp_distance,
-    project,
     validate_params,
 )
 
@@ -171,19 +170,13 @@ class TestHoroDistance:
 
 
 class TestProject:
-    def test_drop_one_level(self):
-        z = HoroPoint(3.0, (1.5,))
-        assert project(z, 2) == HoroPoint(2.0, (1.5,))
-
-    def test_identity(self):
-        z = HoroPoint(4.0, (0.25,))
-        assert project(z, 4) == z
-
     def test_projection_contracts(self, p5):
         rng = random.Random(17)
         for _ in range(300):
             k = rng.randint(-3, 3)
             z = HoroPoint(float(k), (rng.uniform(-9, 9),))
             zp = HoroPoint(float(k), (rng.uniform(-9, 9),))
-            down = hyp_distance(p5, project(z, k - 1), project(zp, k - 1))
+            down = hyp_distance(
+                p5, HoroPoint(k - 1.0, z.x), HoroPoint(k - 1.0, zp.x)
+            )
             assert down <= hyp_distance(p5, z, zp) + 1e-12

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+import subprocess
+import sys
 from collections import deque
 from itertools import combinations, product
 
@@ -143,6 +145,30 @@ class TestTreeDistance:
     def test_color_mismatch(self, p5):
         with pytest.raises(ColorMismatch):
             tree_distance(p5, CubeId(0, 0, (0,)), CubeId(1, 0, (0,)))
+
+    def test_fractional_level_exits_promptly(self):
+        # The two walks' levels would never become equal, so the walk must
+        # refuse the id up front; a subprocess turns a hang into a failure.
+        code = (
+            "from treebed import CubeId, tree_distance, validate_params\n"
+            "P = validate_params(1, 5)\n"
+            "try:\n"
+            "    tree_distance(P, CubeId(0, 1.5, (1,)), CubeId(0, 1, (1,)))\n"
+            "except TypeError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], timeout=10)
+        assert proc.returncode == 0
+
+    def test_non_integer_lattice_point(self, p5):
+        with pytest.raises(TypeError, match="integer"):
+            tree_distance(p5, CubeId(0, 1, (1.5,)), CubeId(0, 1, (1,)))
+        with pytest.raises(TypeError, match="integer"):
+            parent(p5, CubeId(0, 1, (0.5,)))
+
+    def test_bool_level_is_an_integer(self, p5):
+        assert tree_distance(p5, CubeId(0, True, (1,)), CubeId(0, 1, (1,))) == 0
 
     def test_path_endpoints_and_length(self, p5):
         u, v = CubeId(0, 1, (2,)), CubeId(0, 1, (3,))

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import treebed.embedding
 from treebed import (
     CubeId,
     DegenerateSample,
@@ -123,7 +124,8 @@ class TestEvaluatePairs:
     @pytest.mark.parametrize("cap", [0, -1])
     def test_scan_cap_below_one_refused_up_front(self, p5, cap):
         # Every parent hop ends within its digit bound, so no entry point
-        # takes a scan cap, whatever its value.
+        # takes a scan cap, whatever its value. Every image sits at its
+        # rounded level, so none takes a level override either.
         z = HoroPoint(0.0, (0.3,))
         with pytest.raises(TypeError, match="scan_cap"):
             evaluate_pairs(p5, [(z, z)], scan_cap=cap)
@@ -131,6 +133,12 @@ class TestEvaluatePairs:
             vertical_bound_check(p5, count=3, seed=0, scan_cap=cap)
         with pytest.raises(TypeError, match="scan_cap"):
             stability_probe(p5, small_plan(count=3), [1.0], scan_cap=cap)
+        with pytest.raises(TypeError, match="level"):
+            embed(p5, z, level=cap)
+        with pytest.raises(TypeError, match="level"):
+            evaluate_pairs(p5, [(z, z)], level=cap)
+        with pytest.raises(TypeError, match="level"):
+            stability_probe(p5, small_plan(count=3), [1.0], level=cap)
 
     def test_empty(self, p5):
         with pytest.raises(DegenerateSample):
@@ -299,18 +307,18 @@ class TestStabilityProbe:
         plan = small_plan(count=200, seed=12)
         trend = stability_probe(p5, plan, [1.0])
         assert len(trend.ls) == 1
-        assert trend.max_rel_increase == 0.0
 
     def test_scales_must_increase(self, p5):
         with pytest.raises(ValueError):
             stability_probe(p5, small_plan(), [2.0, 1.0])
 
-    def test_broken_embedding_degrades(self, p5):
+    def test_broken_embedding_degrades(self, p5, monkeypatch):
         # forcing level 0 must visibly worsen the fit on a taller region
         grid = [float(m) for m in range(11)]
         plan = SamplePlan(Region(-4.0, 4.0, 625.0), 1500, "uniform", 3)
         honest = stability_probe(p5, plan, [4.0], m_grid=grid)
-        broken = stability_probe(p5, plan, [4.0], m_grid=grid, level=0)
+        monkeypatch.setattr(treebed.embedding, "embedding_level", lambda z: 0)
+        broken = stability_probe(p5, plan, [4.0], m_grid=grid)
         assert broken.ls[0] > 3 * honest.ls[0]
 
 
