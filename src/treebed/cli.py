@@ -226,6 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="treebed",
         description="Tree-product embedding of rescaled hyperbolic space: "
         "queries, exact checks and distortion verification.",
+        allow_abbrev=False,  # _apply_config only recognizes --config in full
     )
     ap.add_argument("--config", help="JSON file with flag defaults; flags win")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -68,6 +68,13 @@ class CubeId:
         return (self.c, self.k, self.gamma)
 
 
+def _check_cell(P: Params, c: int, k: int) -> None:
+    """Raise unless c is a color 0..n and k an integer level within the bound."""
+    if not 0 <= c <= P.n:
+        raise ColorMismatch(f"color {c} outside 0..{P.n}")
+    check_level(P, index(k))
+
+
 def _check_id(P: Params, cid: CubeId) -> None:
     if not 0 <= cid.c <= P.n:
         raise ColorMismatch(f"color {cid.c} outside 0..{P.n}")
@@ -98,6 +105,7 @@ def locate(
     disjoint, so the containing cube is unique when it exists; points in the
     gap return None.
     """
+    _check_cell(P, c, k)
     p = P.p
     cells = [(*divmod(num, den), den) for num, den in P.positions(c, k, x)]
     if all(den <= p * r <= (p - 1) * den for _, r, den in cells):
@@ -117,6 +125,7 @@ def nearest_in_level(
     exactly for lattice positions in (g, g+1], as the gaps' midpoints are
     the integers.
     """
+    _check_cell(P, c, k)
     gamma = []
     for num, den in P.positions(c, k, x):
         gamma.append((num - 1) // den)  # the g with g < u <= g + 1

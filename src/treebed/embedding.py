@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Params
-from .cubes import ColorMismatch, CubeId, check_level, nearest_in_level
+from .cubes import ColorMismatch, CubeId, nearest_in_level
 from .hyperbolic import HoroPoint
 from .tree import tree_distance
 
@@ -51,7 +51,6 @@ def embed(P: Params, z: HoroPoint) -> EmbeddedPoint:
             at which hyperbolic distances are representable at all.
     """
     k = embedding_level(z)
-    check_level(P, k)
     return EmbeddedPoint(
         images=tuple(nearest_in_level(P, c, k, z.x) for c in P.colors),
         source=z,

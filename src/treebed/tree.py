@@ -19,19 +19,24 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .core import Params, RationalBox
 from .cubes import ColorMismatch, CubeId, ResourceLimit, _check_id, realize
 
 
-def _ancestors(P: Params, cid: CubeId) -> Iterator[tuple]:
-    """Same-color ancestors of cid as (k, gamma) pairs, nearest first.
+def parent(P: Params, cid: CubeId) -> CubeId:
+    """Unique vertex of maximal level k' < k whose cube contains cid's cube."""
+    return ancestor_chain(P, cid, cid.k - 1)[1]
 
-    cid must have passed _check_id. Level j-1 sees level j's lattice
-    position u at (u + 1 - m_c)/p, so per axis g' = g + 1 - m_c puts cell g
-    in cell q = g' // p one level down, and the cube has an ancestor there
-    iff 1 <= g' - q*p <= p-2 on every axis.
+
+def ancestor_chain(P: Params, cid: CubeId, floor_level: int) -> list[CubeId]:
+    """Chain cid, parent(cid), ... down to the first level <= floor_level.
+
+    Level j-1 sees level j's lattice position u at (u + 1 - m_c)/p, so per
+    axis g' = g + 1 - m_c puts cell g in cell q = g' // p one level down,
+    and the cube has an ancestor there iff 1 <= g' - q*p <= p-2 on every
+    axis.
 
     Every hop ends. The map g -> (g + 1 - m_c) // p has one fixed point g*:
     0 for c = 0, with digit 1, and -1 for c >= 1, with digit p - m_c, which
@@ -40,12 +45,13 @@ def _ancestors(P: Params, cid: CubeId) -> Iterator[tuple]:
     so a hop from gamma scans at most (number of base-p digits of
     max_i |gamma_i - g*|) + 2 levels.
     """
+    _check_id(P, cid)
     p, top, lift = P.p, P.p - 2, 1 - P.m[cid.c]
-    k, tip = cid.k, cid.gamma
-    while True:
-        gamma, j = tip, k
+    chain = [cid]
+    k, gamma = cid.k, cid.gamma
+    while k > floor_level:
         while True:
-            j -= 1
+            k -= 1
             cells, inside = [], True
             for g in gamma:
                 g += lift
@@ -56,27 +62,7 @@ def _ancestors(P: Params, cid: CubeId) -> Iterator[tuple]:
             gamma = tuple(cells)
             if inside:
                 break
-        k, tip = j, gamma
-        yield k, tip
-
-
-def parent(P: Params, cid: CubeId) -> CubeId:
-    """Unique vertex of maximal level k' < k whose cube contains cid's cube.
-
-    Scans levels k-1, k-2, ... with O(1) exact work per level. A containing
-    cube exists within the digit bound of _ancestors.
-    """
-    _check_id(P, cid)
-    return CubeId(cid.c, *next(_ancestors(P, cid)))
-
-
-def ancestor_chain(P: Params, cid: CubeId, floor_level: int) -> list[CubeId]:
-    """Chain cid, parent(cid), ... down to the first level <= floor_level."""
-    _check_id(P, cid)
-    chain = [cid]
-    up = _ancestors(P, cid)
-    while chain[-1].k > floor_level:
-        chain.append(CubeId(cid.c, *next(up)))
+        chain.append(CubeId(cid.c, k, gamma))
     return chain
 
 
@@ -84,7 +70,7 @@ def _meet(P: Params, u: CubeId, v: CubeId) -> tuple[int, int, int]:
     """The level where the walks from u and from v meet, and their hops.
 
     Always advances the endpoint at the higher level (u on a tie) by the
-    inlined hop of _ancestors, counting hops and keeping no walked cube.
+    inlined hop of ancestor_chain, counting hops and keeping no walked cube.
     Neither walk can pass the meet: it lies on both chains and the walk only
     advances strictly above it. Both ids are checked before the walk, which
     would otherwise reach a lower endpoint's level before checking it.

@@ -19,6 +19,7 @@ import random
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence
 
 from .core import Params
@@ -245,31 +246,26 @@ def count_violations(samples: Sequence[PairSample], l: float, m: float) -> int:
     return bad
 
 
-def fit_qi_constants(
-    report: DistortionReport, m_grid: Sequence[float] | None = None
-) -> DistortionReport:
-    """Fit the envelope constants (l, m) over an additive-constant grid.
+def fit_qi_constants(report: DistortionReport, m_max: int = 50) -> DistortionReport:
+    """Fit the envelope constants (l, m) with m an integer in 0..m_max.
 
     For each m the required slope is the max over the fitting set (pairs
     with d_hyp >= 0.1) of (d_tree - m)/d_hyp and (d_hyp - m)/d_tree, the
     latter only where d_tree > 0; the slope is floored at 1, the smallest
-    slope a quasi-isometry can have. The grid point minimizing the slope
-    wins, ties to the smaller m.
+    slope a quasi-isometry can have.
 
     Every divisor is positive and float subtraction and division round
-    monotonically, so the slope is non-increasing in m: the minimal slope is
-    the one at the grid's largest m, and the m kept is the smallest grid
-    point reaching it, found by bisection (at most 7 slope evaluations on
-    the default 51-point grid). So the default grid always reports the
-    slope at m = 50, which is the floor 1 whenever every fitted pair has
-    |d_tree - d_hyp| <= 50.
+    monotonically, so the slope is non-increasing in m: l is the slope at
+    m_max and m the least integer reaching it, found by bisection (at most 7
+    slope evaluations at the default). So the default reports the floor 1
+    whenever every fitted pair has |d_tree - d_hyp| <= 50.
 
     Raises:
-        ValueError: m_grid is empty or holds a non-finite entry.
+        TypeError: m_max is not an integer.
+        ValueError: m_max is negative.
     """
-    grid = [float(m) for m in range(51)] if m_grid is None else list(m_grid)
-    if not grid or not all(math.isfinite(m) for m in grid):
-        raise ValueError(f"m_grid must be non-empty and finite, got {m_grid!r}")
+    if index(m_max) < 0:
+        raise ValueError(f"m_max must be >= 0, got {m_max}")
     fitting = [s for s in report.samples if s.d_hyp >= MIN_FIT_DHYP]
     if not fitting:
         raise DegenerateSample(
@@ -283,11 +279,8 @@ def fit_qi_constants(
     def slope(m: float) -> float:
         return max(1.0, max([(a - m) / b for a, b in operands]))
 
-    # The sort is stable, so among equal grid values the first one listed is
-    # kept, as a scan would keep it.
-    grid.sort()
-    l = slope(grid[-1])
-    m = grid[bisect_left(grid, True, hi=len(grid) - 1, key=lambda m: slope(m) <= l)]
+    l = slope(float(m_max))
+    m = float(bisect_left(range(m_max), True, key=lambda j: slope(float(j)) <= l))
     return dataclasses.replace(
         report, l=l, m=m, violations=count_violations(report.samples, l, m)
     )
@@ -343,7 +336,7 @@ def stability_probe(
     P: Params,
     base_plan: SamplePlan,
     scales: Sequence[float],
-    m_grid: Sequence[float] | None = None,
+    m_max: int = 50,
 ) -> TrendReport:
     """Fit the L1 envelope on scaled copies of the base region.
 
@@ -364,7 +357,7 @@ def stability_probe(
             seed=base_plan.seed + i,
         )
         report = evaluate_pairs(P, sample_pairs(P, plan), plan=plan)
-        fitted = fit_qi_constants(report, m_grid)
+        fitted = fit_qi_constants(report, m_max)
         ls.append(fitted.l)
         ms.append(fitted.m)
     return TrendReport(tuple(ls), tuple(ms))

@@ -210,14 +210,13 @@ def test_criterion_6_vertical_lower_bound():
 
 def test_criterion_7_envelope_stability(monkeypatch):
     P = validate_params(1, 5)
-    # the default additive grid (up to 50) swamps desk-scale regions, where
-    # every distance is < 50; this narrower grid keeps the fit in the slope
+    # the default additive bound (m up to 50) swamps desk-scale regions,
+    # where every distance is < 50; m up to 10 keeps the fit in the slope
     # regime the stability check is about
-    grid = [float(m) for m in range(11)]
     base = SamplePlan(Region(-4.0, 4.0, 625.0), 10_000, "uniform", 3)
     t0 = time.perf_counter()
 
-    honest = stability_probe(P, base, [1.0, 2.0, 4.0], m_grid=grid)
+    honest = stability_probe(P, base, [1.0, 2.0, 4.0], m_max=10)
     rel_changes = [
         abs(b - a) / a for a, b in zip(honest.ls, honest.ls[1:])
     ]
@@ -225,7 +224,7 @@ def test_criterion_7_envelope_stability(monkeypatch):
 
     plan1 = SamplePlan(base.region, base.count, "uniform", base.seed)
     fit1 = fit_qi_constants(
-        evaluate_pairs(P, sample_pairs(P, plan1), plan=plan1), grid
+        evaluate_pairs(P, sample_pairs(P, plan1), plan=plan1), m_max=10
     )
     fresh_plan = SamplePlan(base.region, 10_000, "uniform", 777)
     fresh = evaluate_pairs(P, sample_pairs(P, fresh_plan), plan=fresh_plan)
@@ -234,7 +233,7 @@ def test_criterion_7_envelope_stability(monkeypatch):
 
     # Negative control: every image forced to level 0.
     monkeypatch.setattr(treebed.embedding, "embedding_level", lambda z: 0)
-    broken = stability_probe(P, base, [1.0, 2.0, 4.0], m_grid=grid)
+    broken = stability_probe(P, base, [1.0, 2.0, 4.0], m_max=10)
     control_ok = broken.ls[0] < broken.ls[1] < broken.ls[2]
 
     dt = time.perf_counter() - t0

@@ -341,6 +341,10 @@ def _reject_constant(name):
         (["no-such-command"], 2),
         (["--help"], 0),
         (["tree-dist", "--help"], 0),
+        # A prefix of --config would reach argparse as --config, which
+        # _apply_config never sees, so the file would go unread.
+        (["--conf", "run.json", "verify", "--n", "1", "--p", "5", "--samples", "5"], 2),
+        (["--conf=run.json", "verify", "--n", "1", "--p", "5", "--samples", "5"], 2),
     ],
 )
 def test_argparse_exits_are_returned(capsys, argv, code):

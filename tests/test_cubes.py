@@ -172,6 +172,23 @@ class TestNearestInLevel:
         )
 
 
+@pytest.mark.parametrize("query", [locate, nearest_in_level])
+@pytest.mark.parametrize(
+    "c,k,error",
+    [
+        (0, 1.5, TypeError),
+        (-1, 1, ColorMismatch),
+        (5, 1, ColorMismatch),
+        (0, 2_000_000, ResourceLimit),
+    ],
+)
+def test_query_checks_color_and_level(p5, query, c, k, error):
+    # Checked before any lattice arithmetic: c = -1 would read color 1's
+    # shift, c = 5 would index past it, and p**k at k = 2e6 takes a second.
+    with pytest.raises(error):
+        query(p5, c, k, (0.3,))
+
+
 class TestSeparationVerdict:
     def test_nested_level1(self, p5):
         v = separation_verdict(p5, CubeId(0, 0, (0,)), CubeId(0, 1, (0,)))

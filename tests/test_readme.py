@@ -1,9 +1,11 @@
 """The README's library and command-line examples run as written."""
 
 import argparse
+import ast
 import pathlib
 import re
 import shlex
+import sys
 
 from treebed.cli import build_parser, main
 
@@ -39,3 +41,19 @@ def test_command_line_flags_exist():
     for parser in sub.choices.values():
         accepted.update(parser._option_string_actions)
     assert flags and flags <= accepted, sorted(flags - accepted)
+
+
+def test_runtime_imports_only_the_standard_library():
+    # README promises a stdlib-only runtime; every absolute import says so.
+    sources = sorted((README.parent / "src" / "treebed").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)

@@ -1,6 +1,5 @@
 import csv
 import io
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,17 +154,15 @@ def report_from(values, n=1, p=5):
     return DistortionReport(n=n, p=p, norm="l1", samples=samples)
 
 
-def _scan_fit(samples, m_grid):
-    """The envelope fit by a scan of every grid point: the reference the
+def _scan_fit(samples, m_max):
+    """The envelope fit by a scan of every m in 0..m_max: the reference the
     bisection in fit_qi_constants must reproduce bit for bit."""
-    if m_grid is None:
-        m_grid = [float(m) for m in range(51)]
     fitting = [s for s in samples if s.d_hyp >= MIN_FIT_DHYP]
     operands = [(s.d_tree, s.d_hyp) for s in fitting] + [
         (s.d_hyp, s.d_tree) for s in fitting if s.d_tree > 0
     ]
     best = None
-    for m in m_grid:
+    for m in map(float, range(m_max + 1)):
         l = max(1.0, max([(a - m) / b for a, b in operands]))
         if best is None or (l, m) < best:
             best = (l, m)
@@ -175,39 +172,35 @@ def _scan_fit(samples, m_grid):
 
 class TestFit:
     def test_single_sample(self):
-        fitted = fit_qi_constants(report_from([(1.0, 1.0)]), m_grid=[0.0])
+        fitted = fit_qi_constants(report_from([(1.0, 1.0)]), m_max=0)
         assert (fitted.l, fitted.m) == (1.0, 0.0)
         assert fitted.violations == 0
 
     def test_symmetric_ratio(self):
-        fitted = fit_qi_constants(report_from([(2.0, 6.0), (6.0, 2.0)]), m_grid=[0.0])
+        fitted = fit_qi_constants(report_from([(2.0, 6.0), (6.0, 2.0)]), m_max=0)
         assert fitted.l == 3.0
         assert fitted.violations == 0
 
     def test_prefers_smaller_l_then_smaller_m(self):
-        fitted = fit_qi_constants(report_from([(2.0, 6.0)]), m_grid=[0.0, 2.0, 4.0])
-        # l(0)=3, l(2)=2, l(4)=1: minimal l wins
+        fitted = fit_qi_constants(report_from([(2.0, 6.0)]), m_max=4)
+        # l(0)=3, l(2)=2, l(4)=1: minimal l wins, at the least m reaching it
         assert (fitted.l, fitted.m) == (1.0, 4.0)
 
     def test_small_pairs_excluded_from_ratios(self):
         fitted = fit_qi_constants(
-            report_from([(0.01, 3.0), (1.0, 2.0)]), m_grid=[0.0]
+            report_from([(0.01, 3.0), (1.0, 2.0)]), m_max=0
         )
         # the 0.01 pair would force l=300 if it were fitted
         assert fitted.l == 2.0
 
     def test_degenerate(self):
         with pytest.raises(DegenerateSample):
-            fit_qi_constants(report_from([(0.0, 0.0)]), m_grid=[0.0])
+            fit_qi_constants(report_from([(0.0, 0.0)]), m_max=0)
 
-    @pytest.mark.parametrize("grid", [[], [float("nan")], [float("inf")], [0.0, -math.inf]])
-    def test_grid_must_be_finite_and_non_empty(self, grid):
-        with pytest.raises(ValueError, match="m_grid"):
-            fit_qi_constants(report_from([(1.0, 2.0)]), m_grid=grid)
-
-    def test_probe_grid_must_be_finite(self, p5):
-        with pytest.raises(ValueError, match="m_grid"):
-            stability_probe(p5, small_plan(count=5), [1.0], m_grid=[float("nan")])
+    @pytest.mark.parametrize("m_max, error", [(-1, ValueError), (1.5, TypeError)])
+    def test_m_max_must_be_a_non_negative_integer(self, m_max, error):
+        with pytest.raises(error):
+            fit_qi_constants(report_from([(1.0, 2.0)]), m_max=m_max)
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -228,32 +221,13 @@ class TestFit:
         anchor=st.tuples(
             st.floats(MIN_FIT_DHYP, 200.0), st.integers(0, 120).map(float)
         ),
-        grid=st.one_of(
-            st.none(),
-            st.lists(
-                st.one_of(
-                    st.integers(-20, 60).map(float),
-                    st.floats(-60.0, 60.0),
-                ),
-                min_size=1,
-                max_size=60,
-            ),
-        ),
+        m_max=st.integers(0, 60),
     )
-    def test_bisection_matches_full_scan(self, rows, anchor, grid):
+    def test_bisection_matches_full_scan(self, rows, anchor, m_max):
         # The anchor keeps one pair above the fitting floor.
         report = report_from(rows + [anchor])
-        fitted = fit_qi_constants(report, grid)
-        want = _scan_fit(report.samples, grid)
-        assert repr((fitted.l, fitted.m, fitted.violations)) == repr(want)
-
-    @pytest.mark.parametrize(
-        "grid", [[0.0, -0.0], [-0.0, 0.0], [4.0, 2, 2.0, 0.0], [4.0, 2.0, 2, 0.0]]
-    )
-    def test_equal_grid_values_keep_the_first_listed(self, grid):
-        report = report_from([(1.0, 1.0), (2.0, 4.0)])
-        fitted = fit_qi_constants(report, grid)
-        want = _scan_fit(report.samples, grid)
+        fitted = fit_qi_constants(report, m_max)
+        want = _scan_fit(report.samples, m_max)
         assert repr((fitted.l, fitted.m, fitted.violations)) == repr(want)
 
     def test_envelope_holds_on_fitting_set(self, p5):
@@ -269,20 +243,18 @@ class TestFit:
         half = DistortionReport(
             n=rep.n, p=rep.p, norm=rep.norm, samples=rep.samples[:200]
         )
-        grid = [5.0]
-        l_half = fit_qi_constants(half, grid).l
-        l_full = fit_qi_constants(rep, grid).l
+        l_half = fit_qi_constants(half, m_max=5).l
+        l_full = fit_qi_constants(rep, m_max=5).l
         assert l_full >= l_half
 
     def test_refit_on_fresh_sample_is_stable(self, p5):
-        grid = [float(m) for m in range(11)]
         plan_a = SamplePlan(Region(-4.0, 4.0, 625.0), 2000, "uniform", 3)
         plan_b = SamplePlan(Region(-4.0, 4.0, 625.0), 2000, "uniform", 4)
         l_a = fit_qi_constants(
-            evaluate_pairs(p5, sample_pairs(p5, plan_a), plan=plan_a), grid
+            evaluate_pairs(p5, sample_pairs(p5, plan_a), plan=plan_a), m_max=10
         ).l
         l_b = fit_qi_constants(
-            evaluate_pairs(p5, sample_pairs(p5, plan_b), plan=plan_b), grid
+            evaluate_pairs(p5, sample_pairs(p5, plan_b), plan=plan_b), m_max=10
         ).l
         assert abs(l_a - l_b) / l_a < 0.10
 
@@ -314,11 +286,10 @@ class TestStabilityProbe:
 
     def test_broken_embedding_degrades(self, p5, monkeypatch):
         # forcing level 0 must visibly worsen the fit on a taller region
-        grid = [float(m) for m in range(11)]
         plan = SamplePlan(Region(-4.0, 4.0, 625.0), 1500, "uniform", 3)
-        honest = stability_probe(p5, plan, [4.0], m_grid=grid)
+        honest = stability_probe(p5, plan, [4.0], m_max=10)
         monkeypatch.setattr(treebed.embedding, "embedding_level", lambda z: 0)
-        broken = stability_probe(p5, plan, [4.0], m_grid=grid)
+        broken = stability_probe(p5, plan, [4.0], m_max=10)
         assert broken.ls[0] > 3 * honest.ls[0]
 
 
