@@ -26,7 +26,6 @@ from .tree import export_subtree, tree_distance
 from .verifier import (
     Region,
     SamplePlan,
-    count_violations,
     default_region,
     evaluate_pairs,
     fit_qi_constants,
@@ -116,10 +115,7 @@ def _cmd_tree_dist(args) -> int:
 
 
 def _cmd_check_covering(args) -> int:
-    P = validate_params(args.n, args.p)
-    if args.cell_budget < 1:
-        raise _UsageError(f"--cell-budget must be >= 1, got {args.cell_budget}")
-    report = verify_covering_level0(P, cell_budget=args.cell_budget)
+    report = verify_covering_level0(validate_params(args.n, args.p))
     plain = (
         f"covered: {report.covered} "
         f"({report.cells_uncovered}/{report.cells_total} cells uncovered)"
@@ -250,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-covering", help="exact level-0 covering check")
     _add_common(sp)
-    sp.add_argument("--cell-budget", type=int, default=1_000_000)
     sp.set_defaults(fn=_cmd_check_covering)
 
     sp = sub.add_parser("check-separation", help="randomized exact separation check")

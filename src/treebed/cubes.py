@@ -19,10 +19,12 @@ points to lattice points, so same-color cubes are nested or separated.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import islice
 from operator import index
 from typing import Sequence
 
@@ -44,7 +46,7 @@ class LevelOrder(ValueError):
 
 
 class ResourceLimit(RuntimeError):
-    """An exact enumeration would exceed its configured budget."""
+    """An input needs more work or range than a fixed bound of the package allows."""
 
 
 def check_level(P: Params, k: int) -> None:
@@ -68,16 +70,17 @@ class CubeId:
         return (self.c, self.k, self.gamma)
 
 
-def _check_cell(P: Params, c: int, k: int) -> None:
-    """Raise unless c is a color 0..n and k an integer level within the bound."""
+def _check_color(P: Params, c: int) -> None:
+    try:
+        index(c)
+    except TypeError:
+        raise TypeError(f"color {c!r} is not an integer") from None
     if not 0 <= c <= P.n:
         raise ColorMismatch(f"color {c} outside 0..{P.n}")
-    check_level(P, index(k))
 
 
 def _check_id(P: Params, cid: CubeId) -> None:
-    if not 0 <= cid.c <= P.n:
-        raise ColorMismatch(f"color {cid.c} outside 0..{P.n}")
+    _check_color(P, cid.c)
     if len(cid.gamma) != P.n:
         raise DimensionMismatch(f"gamma dim {len(cid.gamma)} vs n={P.n}")
     try:
@@ -105,7 +108,8 @@ def locate(
     disjoint, so the containing cube is unique when it exists; points in the
     gap return None.
     """
-    _check_cell(P, c, k)
+    _check_color(P, c)
+    check_level(P, index(k))
     p = P.p
     cells = [(*divmod(num, den), den) for num, den in P.positions(c, k, x)]
     if all(den <= p * r <= (p - 1) * den for _, r, den in cells):
@@ -125,7 +129,8 @@ def nearest_in_level(
     exactly for lattice positions in (g, g+1], as the gaps' midpoints are
     the integers.
     """
-    _check_cell(P, c, k)
+    _check_color(P, c)
+    check_level(P, index(k))
     gamma = []
     for num, den in P.positions(c, k, x):
         gamma.append((num - 1) // den)  # the g with g < u <= g + 1
@@ -238,10 +243,12 @@ class CoveringReport:
         }
 
 
+# Bound on axis-table cells plus memo states; it keeps n, the recursion depth, < 127.
+_COVERING_BUDGET = 2**22
+
+
 def verify_covering_level0(
-    P: Params,
-    colors: Sequence[int] | None = None,
-    cell_budget: int = 1_000_000,
+    P: Params, colors: Sequence[int] | None = None
 ) -> CoveringReport:
     """Exact decision: do the level-0 patterns of the given colors cover R^n?
 
@@ -250,50 +257,43 @@ def verify_covering_level0(
     with step 1/m is pattern-aligned: each grid cell lies entirely inside or
     outside each color's closed pattern, and the cell center (never on the
     grid itself) decides membership for the whole cell. The patterns are
-    axis products, so membership factors through a per-axis table, and the
-    uncovered cells are counted by inclusion-exclusion over color subsets S,
-    sum_S (-1)^|S| t_S^n with t_S the number of axis cells in every color of
-    S: O(2^(n+1) m) work, exact, not sampled. Cells are enumerated, in
-    lexicographic order, only to collect up to 32 witnesses. Covering at level 0
-    implies covering at every level because level sets are images of the
-    level-0 set under iterates of the expansion H.
+    axis products, so a cell is uncovered exactly when its n axis cells'
+    color sets have an empty intersection. A memoized count over those sets
+    counts the uncovered cells without visiting them, and a walk descending
+    only where the count is positive finds up to 32 witnesses in
+    lexicographic order. Covering at level 0 implies covering at every level
+    because level sets are images of the level-0 set under iterates of H.
     """
     cols = tuple(P.colors) if colors is None else tuple(colors)
     for c in cols:
-        if not 0 <= c <= P.n:
-            raise ColorMismatch(f"color {c} outside 0..{P.n}")
-    shifts = (Fraction(mc, P.p - 1) for mc in P.m)
-    m = math.lcm(P.p, *(s.denominator for s in shifts))
-    total = m**P.n
-    if total > cell_budget:
-        raise ResourceLimit(
-            f"grid of {total} cells exceeds the budget of {cell_budget}"
-        )
-    # axis_cov[c][i]: is the diagonal point at axis-cell i's center in color c?
+        _check_color(P, c)
+    m = math.lcm(P.p, *(Fraction(mc, P.p - 1).denominator for mc in P.m))
+    full = frozenset(cols)
+    if (work := (P.n + 1) * m + P.n**2 * 2 ** len(full)) > _COVERING_BUDGET:
+        raise ResourceLimit(f"covering work {work} is over the bound {_COVERING_BUDGET}")
+    # axis[i]: the colors whose pattern holds the diagonal point at axis cell i's center
     centers = [Fraction(2 * i + 1, 2 * m) for i in range(m)]
-    axis_cov = {
-        c: [locate(P, c, 0, (x,) * P.n) is not None for x in centers] for c in cols
-    }
-    uncovered = 0  # inclusion-exclusion over subsets of the distinct colors
-    for size in range(len(axis_cov) + 1):
-        for S in combinations(axis_cov, size):
-            t_S = sum(all(axis_cov[c][i] for c in S) for i in range(m))
-            uncovered += (-1) ** size * t_S**P.n
-    gaps = (
-        cell
-        for cell in product(range(m), repeat=P.n)
-        if not any(all(axis_cov[c][i] for i in cell) for c in cols)
-    )
-    witnesses = [
-        tuple(centers[i] for i in cell)
-        for cell in islice(gaps, min(uncovered, 32))
-    ]
+    axis = [frozenset(c for c in full if locate(P, c, 0, (x,) * P.n)) for x in centers]
+    groups = Counter(axis).items()
+
+    @functools.cache
+    def missed(s: frozenset, r: int) -> int:
+        """Number of r-tuples of axis cells whose color sets meet s in nothing."""
+        return sum(k * missed(s & a, r - 1) for a, k in groups) if r else int(not s)
+
+    def gaps(s: frozenset, r: int):
+        """In order, the r-tuples of axis-cell centers whose sets meet s in nothing."""
+        for i, a in enumerate(axis):
+            if missed(s & a, r - 1):
+                tails = gaps(s & a, r - 1) if r > 1 else [()]
+                yield from ((centers[i], *w) for w in tails)
+
     return CoveringReport(
         n=P.n,
         p=P.p,
         colors=cols,
         grid_step=Fraction(1, m),
-        cells_total=total,
-        cells_uncovered=uncovered,
-        witnesses=tuple(witnesses),
+        cells_total=m**P.n,
+        cells_uncovered=missed(full, P.n),
+        witnesses=tuple(islice(gaps(full, P.n), 32)),
     )

@@ -246,6 +246,11 @@ def count_violations(samples: Sequence[PairSample], l: float, m: float) -> int:
     return bad
 
 
+def _check_m_max(m_max: int) -> None:
+    if index(m_max) < 0:
+        raise ValueError(f"m_max must be >= 0, got {m_max}")
+
+
 def fit_qi_constants(report: DistortionReport, m_max: int = 50) -> DistortionReport:
     """Fit the envelope constants (l, m) with m an integer in 0..m_max.
 
@@ -264,8 +269,7 @@ def fit_qi_constants(report: DistortionReport, m_max: int = 50) -> DistortionRep
         TypeError: m_max is not an integer.
         ValueError: m_max is negative.
     """
-    if index(m_max) < 0:
-        raise ValueError(f"m_max must be >= 0, got {m_max}")
+    _check_m_max(m_max)
     fitting = [s for s in report.samples if s.d_hyp >= MIN_FIT_DHYP]
     if not fitting:
         raise DegenerateSample(
@@ -343,8 +347,9 @@ def stability_probe(
     A sound embedding keeps the slope flat as the region grows; a broken one
     (e.g. every image forced to level 0) cannot, because hyperbolic
     distances grow linearly with the region while its tree distances only
-    grow logarithmically.
+    grow logarithmically. m_max is checked as in the fit, before sampling.
     """
+    _check_m_max(m_max)
     if list(scales) != sorted(scales):
         raise ValueError(f"scales must be increasing, got {scales!r}")
     ls = []

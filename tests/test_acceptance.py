@@ -77,7 +77,7 @@ def test_criterion_2_covering():
     for n, p in [(1, 5), (2, 7), (3, 9)]:
         P = validate_params(n, p)  # (3,9) passes the gate: 1/8+1/9 < 1/4
         t0 = time.perf_counter()
-        rep = verify_covering_level0(P, cell_budget=10**6)
+        rep = verify_covering_level0(P)
         dt = time.perf_counter() - t0
         ok = ok and rep.covered and rep.cells_total <= 10**6 and dt < 10.0
         detail.append(f"(n={n},p={p}): {rep.cells_total} cells {dt:.2f}s")

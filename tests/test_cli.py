@@ -37,11 +37,11 @@ class TestChecks:
         assert doc["covered"] is True and doc["cells_total"] == 441
 
     def test_check_covering_budget_limit(self, capsys):
-        code, _, err = run(
-            capsys, "check-covering", "--n", "1", "--p", "5", "--cell-budget", "1"
-        )
-        assert code == 3
-        assert "budget" in err
+        # The bound is fixed; only (n, p) can take a check past it.
+        for n, p in [("1", "100000"), ("40", "83")]:
+            code, _, err = run(capsys, "check-covering", "--n", n, "--p", p)
+            assert code == 3
+            assert err.startswith("limit:") and "bound" in err
 
     def test_check_separation(self, capsys):
         code, out, _ = run(
@@ -312,7 +312,11 @@ class TestVerify:
         (["distance", "--z", "120,0", "--w", "120,0.5", "--json"], 0),
         # p^-t overflows in the near_pairs offsets, below the level bound.
         (["verify", "--samples", "5", "--strategy", "near_pairs", "--region=-445,-443,1"], 3),
+        # No subcommand has a cell budget option; the covering bound is fixed.
         (["check-covering", "--cell-budget", "0"], 2),
+        # The later --n and --p win: m^n is 9e6 cells, counted without a visit.
+        (["check-covering", "--n", "4", "--p", "11"], 0),
+        (["check-covering", "--n", "1", "--p", "100000"], 3),
     ],
 )
 def test_out_of_domain_input_exits_promptly(argv, code):

@@ -22,6 +22,7 @@ from treebed import (
     nearest_in_level,
     realize,
     separation_verdict,
+    tree_distance,
     validate_params,
     verify_covering_level0,
 )
@@ -187,6 +188,16 @@ def test_query_checks_color_and_level(p5, query, c, k, error):
     # shift, c = 5 would index past it, and p**k at k = 2e6 takes a second.
     with pytest.raises(error):
         query(p5, c, k, (0.3,))
+
+
+def test_fractional_color_is_named(p5):
+    # 0 <= c <= n holds for these colors; indexing P.m with them would not.
+    with pytest.raises(TypeError, match="color 0.5 is not an integer"):
+        nearest_in_level(p5, 0.5, 1, (0.3,))
+    with pytest.raises(TypeError, match="color 0.0 is not an integer"):
+        tree_distance(p5, CubeId(0.0, 1, (2,)), CubeId(0.0, 0, (0,)))
+    with pytest.raises(TypeError, match="color 0.5 is not an integer"):
+        verify_covering_level0(p5, colors=[0.5])
 
 
 class TestSeparationVerdict:
@@ -403,7 +414,9 @@ class TestCovering:
         assert report.covered
         assert report.cells_total == 441
 
-    @pytest.mark.parametrize("n,p", [(1, 6), (1, 9), (2, 8), (3, 10)])
+    @pytest.mark.parametrize(
+        "n,p", [(1, 6), (1, 9), (2, 8), (3, 10), (4, 11), (5, 13), (6, 15)]
+    )
     def test_every_valid_instance_covered(self, n, p):
         assert verify_covering_level0(validate_params(n, p)).covered
 
@@ -414,9 +427,12 @@ class TestCovering:
         for (w,) in report.witnesses:
             assert w > F(4, 5) or w < F(1, 5)
 
-    def test_budget(self, p7):
-        with pytest.raises(ResourceLimit):
-            verify_covering_level0(p7, cell_budget=10)
+    def test_budget(self):
+        # Past the fixed bound: an axis table of 2e10 cells, and 2^41 memo
+        # states for the 41 colors at n = 40.
+        for n, p in [(1, 100_000), (40, 83)]:
+            with pytest.raises(ResourceLimit, match="bound"):
+                verify_covering_level0(validate_params(n, p))
 
     def test_json_shape(self, p5):
         doc = verify_covering_level0(p5).to_json_dict()
@@ -473,10 +489,5 @@ def _covering_brute_force(P, colors, max_witnesses=32):
 def test_covering_matches_brute_force_for_every_color_subset(P):
     for size in range(1, P.n + 2):
         for cols in combinations(P.colors, size):
-            try:
-                got = verify_covering_level0(P, colors=cols)
-            except ResourceLimit:
-                # Over the default budget: (3,11), (3,12), (3,14) and (3,15).
-                assert (P.n, P.p) in {(3, 11), (3, 12), (3, 14), (3, 15)}
-                return
+            got = verify_covering_level0(P, colors=cols)
             assert got.to_json_dict() == _covering_brute_force(P, cols)

@@ -57,3 +57,24 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_every_import_is_used():
+    # An import a module no longer reads is dead code that still loads.
+    sources = sorted((README.parent / "src" / "treebed").glob("*.py"))
+    for path in sources:
+        if path.name == "__init__.py":  # re-exports the package's names
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused = [f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used]
+        assert not unused, unused

@@ -284,6 +284,15 @@ class TestStabilityProbe:
         with pytest.raises(ValueError):
             stability_probe(p5, small_plan(), [2.0, 1.0])
 
+    @pytest.mark.parametrize("m_max,error", [(-1, ValueError), (1.5, TypeError)])
+    def test_m_max_checked_before_sampling(self, p5, monkeypatch, m_max, error):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before m_max was checked")
+
+        monkeypatch.setattr(treebed.verifier, "sample_pairs", no_sampling)
+        with pytest.raises(error):
+            stability_probe(p5, small_plan(count=5000), [1.0, 2.0], m_max=m_max)
+
     def test_broken_embedding_degrades(self, p5, monkeypatch):
         # forcing level 0 must visibly worsen the fit on a taller region
         plan = SamplePlan(Region(-4.0, 4.0, 625.0), 1500, "uniform", 3)
