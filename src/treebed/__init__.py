@@ -11,6 +11,7 @@ from .core import (
     InvalidParams,
     Params,
     RationalBox,
+    ResourceLimit,
     boundary_margin,
     box_gap_sq,
     validate_params,
@@ -20,7 +21,6 @@ from .cubes import (
     CoveringReport,
     CubeId,
     LevelOrder,
-    ResourceLimit,
     SeparationKind,
     SeparationVerdict,
     locate,
@@ -36,7 +36,6 @@ from .embedding import (
     product_distance,
 )
 from .hyperbolic import (
-    DistanceOverflow,
     HoroPoint,
     horo_distance,
     hyp_distance,
@@ -55,8 +54,6 @@ from .verifier import (
     DistortionReport,
     Region,
     SamplePlan,
-    TrendReport,
-    VerticalCheckReport,
     count_violations,
     evaluate_pairs,
     fit_qi_constants,
@@ -78,7 +75,6 @@ __all__ = [
     "HoroPoint",
     "hyp_distance",
     "horo_distance",
-    "DistanceOverflow",
     "CubeId",
     "realize",
     "locate",
@@ -111,7 +107,5 @@ __all__ = [
     "vertical_bound_check",
     "stability_probe",
     "DistortionReport",
-    "VerticalCheckReport",
-    "TrendReport",
     "DegenerateSample",
 ]

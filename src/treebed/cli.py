@@ -11,17 +11,16 @@ import json
 import random
 import sys
 
-from .core import InvalidParams, validate_params
+from .core import InvalidParams, ResourceLimit, validate_params
 from .cubes import (
     CubeId,
-    ResourceLimit,
     SeparationKind,
     check_level,
     separation_verdict,
     verify_covering_level0,
 )
 from .embedding import NORMS, embed
-from .hyperbolic import DistanceOverflow, HoroPoint, hyp_distance
+from .hyperbolic import HoroPoint, hyp_distance
 from .tree import export_subtree, tree_distance
 from .verifier import (
     Region,
@@ -210,10 +209,12 @@ def _cmd_export_subtree(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+def _add_common(sp: argparse.ArgumentParser, emits_json: bool = True) -> None:
+    """--n, --p and --output; --json only where the output has a JSON form."""
     sp.add_argument("--n", type=int, required=True, help="horosphere dimension")
     sp.add_argument("--p", type=int, required=True, help="subdivision factor")
-    sp.add_argument("--json", action="store_true", help="emit JSON")
+    if emits_json:
+        sp.add_argument("--json", action="store_true", help="emit JSON")
     sp.add_argument("--output", help="write the primary output to a file")
 
 
@@ -258,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_check_separation)
 
     sp = sub.add_parser("verify", help="distortion pipeline, JSON report")
-    _add_common(sp)
+    _add_common(sp, emits_json=False)
     sp.add_argument("--samples", type=int, default=10_000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--region", help="t_min,t_max,x_radius")
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("export-subtree", help="DOT/JSON subtree spanning ids")
-    _add_common(sp)
+    _add_common(sp, emits_json=False)
     sp.add_argument("--id", action="append", help="c,k,g1[,g2,...]; repeatable")
     sp.add_argument("--ids-file", help="file with one cube id per line")
     sp.add_argument("--format", default="dot", choices=("dot", "json"))
@@ -329,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, InvalidParams, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ResourceLimit, DistanceOverflow) as exc:
+    except ResourceLimit as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
 

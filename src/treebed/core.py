@@ -28,6 +28,10 @@ class DimensionMismatch(ValueError):
     """Vectors or boxes of different dimensions were combined."""
 
 
+class ResourceLimit(RuntimeError):
+    """An input needs more work or range than a fixed bound of the package allows."""
+
+
 # Hyperbolic distances evaluate e^{sigma*t}; beyond this exponent no double
 # holds them.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)

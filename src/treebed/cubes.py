@@ -34,6 +34,7 @@ from .core import (
     Rational,
     RationalBox,
     RationalVec,
+    ResourceLimit,
 )
 
 
@@ -43,10 +44,6 @@ class ColorMismatch(ValueError):
 
 class LevelOrder(ValueError):
     """Cube pair was not presented in ascending level order."""
-
-
-class ResourceLimit(RuntimeError):
-    """An input needs more work or range than a fixed bound of the package allows."""
 
 
 def check_level(P: Params, k: int) -> None:
@@ -252,11 +249,11 @@ def verify_covering_level0(
 ) -> CoveringReport:
     """Exact decision: do the level-0 patterns of the given colors cover R^n?
 
-    Every level-0 pattern boundary is a multiple of 1/m, m = lcm(p, the
-    denominators of the shifts m_c/(p-1)), so on the unit torus the grid
-    with step 1/m is pattern-aligned: each grid cell lies entirely inside or
-    outside each color's closed pattern, and the cell center (never on the
-    grid itself) decides membership for the whole cell. The patterns are
+    Every level-0 pattern boundary is a multiple of 1/m, m = D/gcd(p-1, m_c)
+    = lcm(p, the denominators of the shifts m_c/(p-1)), so on the unit torus
+    the grid with step 1/m is pattern-aligned: each grid cell lies entirely
+    inside or outside each color's closed pattern, and the cell center (never
+    on the grid itself) decides membership for the whole cell. The patterns are
     axis products, so a cell is uncovered exactly when its n axis cells'
     color sets have an empty intersection. A memoized count over those sets
     counts the uncovered cells without visiting them, and a walk descending
@@ -267,13 +264,19 @@ def verify_covering_level0(
     cols = tuple(P.colors) if colors is None else tuple(colors)
     for c in cols:
         _check_color(P, c)
-    m = math.lcm(P.p, *(Fraction(mc, P.p - 1).denominator for mc in P.m))
+    q = math.gcd(P.p - 1, *P.m)
+    m = P.D // q
     full = frozenset(cols)
     if (work := (P.n + 1) * m + P.n**2 * 2 ** len(full)) > _COVERING_BUDGET:
         raise ResourceLimit(f"covering work {work} is over the bound {_COVERING_BUDGET}")
-    # axis[i]: the colors whose pattern holds the diagonal point at axis cell i's center
-    centers = [Fraction(2 * i + 1, 2 * m) for i in range(m)]
-    axis = [frozenset(c for c in full if locate(P, c, 0, (x,) * P.n)) for x in centers]
+    # axis[i]: the colors whose slabs [gD + C_c + p, gD + C_c + p + W], in
+    # units of 1/D, hold axis cell i's center (2i+1)q/2; doubled, all integers.
+    D2, W2 = 2 * P.D, 2 * P.W
+    starts = [(c, 2 * (P.C[c] + P.p)) for c in full]
+    axis = [
+        frozenset(c for c, lo in starts if ((2 * i + 1) * q - lo) % D2 <= W2)
+        for i in range(m)
+    ]
     groups = Counter(axis).items()
 
     @functools.cache
@@ -286,7 +289,7 @@ def verify_covering_level0(
         for i, a in enumerate(axis):
             if missed(s & a, r - 1):
                 tails = gaps(s & a, r - 1) if r > 1 else [()]
-                yield from ((centers[i], *w) for w in tails)
+                yield from ((Fraction(2 * i + 1, 2 * m), *w) for w in tails)
 
     return CoveringReport(
         n=P.n,

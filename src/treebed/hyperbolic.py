@@ -13,11 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DimensionMismatch, Params
-
-
-class DistanceOverflow(OverflowError):
-    """Distance arguments exceed double-precision range; not silently capped."""
+from .core import DimensionMismatch, Params, ResourceLimit
 
 
 @dataclass(frozen=True)
@@ -47,6 +43,7 @@ def hyp_distance(P: Params, z: HoroPoint, zp: HoroPoint) -> float:
     integration in the test suite. Evaluated via log1p/sqrt so nearby points
     do not lose precision to acosh near 1. Where u*(u+2) overflows, though u
     is finite, acosh(1+u) = ln(2u) to within O(1/u), below one ulp there.
+    An intermediate term beyond the double range raises ResourceLimit.
     """
     _check_dim(P, z)
     _check_dim(P, zp)
@@ -60,7 +57,7 @@ def hyp_distance(P: Params, z: HoroPoint, zp: HoroPoint) -> float:
     except OverflowError:
         u = math.inf
     if not math.isfinite(u):
-        raise DistanceOverflow(f"distance overflow between {z} and {zp}")
+        raise ResourceLimit(f"distance overflow between {z} and {zp}")
     w = u * (u + 2.0)
     if math.isinf(w):
         return (math.log(u) + math.log(2.0)) / s

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from operator import index
 from typing import Sequence
 
-from .core import Params
-from .cubes import ResourceLimit
-from .embedding import embed, per_color_distances, product_norm
+from .core import Params, ResourceLimit
+from .embedding import embed, embedding_level, per_color_distances, product_norm
 from .hyperbolic import HoroPoint, hyp_distance
 
 STRATEGIES = ("uniform", "same_horosphere", "vertical", "near_pairs")
@@ -290,18 +289,7 @@ def fit_qi_constants(report: DistortionReport, m_max: int = 50) -> DistortionRep
     )
 
 
-@dataclass(frozen=True)
-class VerticalCheckReport:
-    """Outcome of the exact vertical lower-bound check."""
-
-    failures: tuple[dict, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def vertical_bound_check(P: Params, count: int, seed: int) -> VerticalCheckReport:
+def vertical_bound_check(P: Params, count: int, seed: int) -> tuple[dict, ...]:
     """Check max-color tree distance >= (dk+1)/(n+1) - 1 on vertical pairs.
 
     The bound follows from the covering of every horosphere by the n+1
@@ -309,11 +297,12 @@ def vertical_bound_check(P: Params, count: int, seed: int) -> VerticalCheckRepor
     color owns at least (dk+1)/(n+1) of the crossing points, and those cubes
     form a nested chain. It must hold for every pair; a failure is an
     implementation bug, not noise. Pairs come from the default region.
+    Returns up to 16 failure records; the check passes when there are none.
     """
     plan = SamplePlan(default_region(P), count, "vertical", seed)
     failures = []
     for s in evaluate_pairs(P, sample_pairs(P, plan)).samples:
-        dk = abs(round(s.z.t) - round(s.zp.t))
+        dk = abs(embedding_level(s.z) - embedding_level(s.zp))
         bound = (dk + 1) / (P.n + 1) - 1.0
         if max(s.per_color) < bound - 1e-12:
             failures.append(
@@ -325,15 +314,7 @@ def vertical_bound_check(P: Params, count: int, seed: int) -> VerticalCheckRepor
                     "per_color": list(s.per_color),
                 }
             )
-    return VerticalCheckReport(tuple(failures[:16]))
-
-
-@dataclass(frozen=True)
-class TrendReport:
-    """Fitted slope and additive constant per region scale."""
-
-    ls: tuple[float, ...]
-    ms: tuple[float, ...]
+    return tuple(failures[:16])
 
 
 def stability_probe(
@@ -341,8 +322,8 @@ def stability_probe(
     base_plan: SamplePlan,
     scales: Sequence[float],
     m_max: int = 50,
-) -> TrendReport:
-    """Fit the L1 envelope on scaled copies of the base region.
+) -> list[tuple[float, float]]:
+    """Fit the L1 envelope on scaled copies of the base region: (l, m) per scale.
 
     A sound embedding keeps the slope flat as the region grows; a broken one
     (e.g. every image forced to level 0) cannot, because hyperbolic
@@ -352,8 +333,7 @@ def stability_probe(
     _check_m_max(m_max)
     if list(scales) != sorted(scales):
         raise ValueError(f"scales must be increasing, got {scales!r}")
-    ls = []
-    ms = []
+    fits = []
     for i, s in enumerate(scales):
         plan = SamplePlan(
             region=base_plan.region.scaled(s),
@@ -363,6 +343,5 @@ def stability_probe(
         )
         report = evaluate_pairs(P, sample_pairs(P, plan), plan=plan)
         fitted = fit_qi_constants(report, m_max)
-        ls.append(fitted.l)
-        ms.append(fitted.m)
-    return TrendReport(tuple(ls), tuple(ms))
+        fits.append((fitted.l, fitted.m))
+    return fits

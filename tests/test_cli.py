@@ -231,7 +231,7 @@ class TestVerify:
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"n": 1, "p": 5, "samples": 60, "seed": 5}))
         code, out, _ = run(
-            capsys, "verify", "--config", str(conf), "--json",
+            capsys, "verify", "--config", str(conf),
             "--output", str(tmp_path / "r1.json"),
         )
         assert code == 0
@@ -317,6 +317,11 @@ class TestVerify:
         # The later --n and --p win: m^n is 9e6 cells, counted without a visit.
         (["check-covering", "--n", "4", "--p", "11"], 0),
         (["check-covering", "--n", "1", "--p", "100000"], 3),
+        # verify always writes JSON and export-subtree takes --format: no --json.
+        (["verify", "--samples", "10", "--json"], 2),
+        (["export-subtree", "--id", "0,1,2", "--json"], 2),
+        # The axis table of 999,000 cells is read from the map's integers.
+        (["check-covering", "--n", "1", "--p", "1000"], 0),
     ],
 )
 def test_out_of_domain_input_exits_promptly(argv, code):

@@ -8,8 +8,8 @@ from scipy.integrate import quad
 
 from treebed import (
     DimensionMismatch,
-    DistanceOverflow,
     HoroPoint,
+    ResourceLimit,
     horo_distance,
     hyp_distance,
     validate_params,
@@ -115,9 +115,9 @@ class TestHypDistance:
         assert d == pytest.approx(1e-9, rel=1e-6)
 
     def test_overflow_reported(self, p5):
-        with pytest.raises(DistanceOverflow):
+        with pytest.raises(ResourceLimit, match="distance overflow"):
             hyp_distance(p5, HoroPoint(300.0, (0.0,)), HoroPoint(300.0, (1e30,)))
-        with pytest.raises(DistanceOverflow):
+        with pytest.raises(ResourceLimit, match="distance overflow"):
             hyp_distance(p5, HoroPoint(0.0, (1e300,)), HoroPoint(0.0, (-1e300,)))
 
     @pytest.mark.parametrize("params", ["p5", "p7"])
