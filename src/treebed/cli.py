@@ -115,10 +115,13 @@ def _cmd_tree_dist(args) -> int:
 
 def _cmd_check_covering(args) -> int:
     report = verify_covering_level0(validate_params(args.n, args.p))
-    plain = (
-        f"covered: {report.covered} "
-        f"({report.cells_uncovered}/{report.cells_total} cells uncovered)"
-    )
+    try:
+        plain = (
+            f"covered: {report.covered} "
+            f"({report.cells_uncovered}/{report.cells_total} cells uncovered)"
+        )
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise ResourceLimit(f"the cell count cannot be printed: {exc}") from None
     _emit(args, report.to_json_dict(), plain)
     return EXIT_OK if report.covered else EXIT_CHECK_FAILED
 

@@ -19,12 +19,10 @@ points to lattice points, so same-color cubes are nested or separated.
 from __future__ import annotations
 
 import enum
-import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, pairwise
 from operator import index
 from typing import Sequence
 
@@ -240,63 +238,61 @@ class CoveringReport:
         }
 
 
-# Bound on axis-table cells plus memo states; it keeps n, the recursion depth, < 127.
-_COVERING_BUDGET = 2**22
-
-
 def verify_covering_level0(
     P: Params, colors: Sequence[int] | None = None
 ) -> CoveringReport:
     """Exact decision: do the level-0 patterns of the given colors cover R^n?
 
-    Every level-0 pattern boundary is a multiple of 1/m, m = D/gcd(p-1, m_c)
-    = lcm(p, the denominators of the shifts m_c/(p-1)), so on the unit torus
-    the grid with step 1/m is pattern-aligned: each grid cell lies entirely
-    inside or outside each color's closed pattern, and the cell center (never
-    on the grid itself) decides membership for the whole cell. The patterns are
-    axis products, so a cell is uncovered exactly when its n axis cells'
-    color sets have an empty intersection. A memoized count over those sets
-    counts the uncovered cells without visiting them, and a walk descending
-    only where the count is positive finds up to 32 witnesses in
-    lexicographic order. Covering at level 0 implies covering at every level
-    because level sets are images of the level-0 set under iterates of H.
+    q = gcd(p-1, m_c) divides D, W and C_c + p (as p = 1 mod q), so the unit
+    torus splits into m = D/q axis cells, and color c holds exactly the cells
+    s_c .. s_c + w - 1 (mod m), s_c = (C_c + p)/q, w = W/q (see Params). A
+    cell of R^n is uncovered iff each color misses one of its n axis cells.
+    Lemma: each axis cell misses at most one color. In units of 1/D, color
+    c's gap has length 2(p-1) and starts at C_c + p + W; cyclically the
+    starts lie p(m_{c+1} - m_c) and p(p-1 - m_n) apart, spacings that sum to
+    D and are each at least p*floor((p-1)/(n+1)) >= 2p, as the gate forces
+    p >= 2n+3. So n axes miss at most n colors, and for k colors
+    inclusion-exclusion counts sum_j (-1)^j C(k,j) (m - j(m-w))^n uncovered
+    cells, positive iff k <= n. A lexicographic walk that must still miss
+    colors s with r axes left can enter axis cell a iff |s & a| < r, so it
+    finds up to 32 witnesses with no dead end, reading the axis in runs cut
+    at the gap ends. Level k's patterns are the level-0 ones under H^-k.
     """
     cols = tuple(P.colors) if colors is None else tuple(colors)
     for c in cols:
         _check_color(P, c)
-    q = math.gcd(P.p - 1, *P.m)
-    m = P.D // q
-    full = frozenset(cols)
-    if (work := (P.n + 1) * m + P.n**2 * 2 ** len(full)) > _COVERING_BUDGET:
-        raise ResourceLimit(f"covering work {work} is over the bound {_COVERING_BUDGET}")
-    # axis[i]: the colors whose slabs [gD + C_c + p, gD + C_c + p + W], in
-    # units of 1/D, hold axis cell i's center (2i+1)q/2; doubled, all integers.
-    D2, W2 = 2 * P.D, 2 * P.W
-    starts = [(c, 2 * (P.C[c] + P.p)) for c in full]
-    axis = [
-        frozenset(c for c, lo in starts if ((2 * i + 1) * q - lo) % D2 <= W2)
-        for i in range(m)
-    ]
-    groups = Counter(axis).items()
+    n, q, full = P.n, math.gcd(P.p - 1, *P.m), frozenset(cols)
+    m, w = P.D // q, P.W // q
+    edges = {}  # axis cell where a gap starts: its color; where one ends: None
+    for c in full:
+        edges[b := ((P.C[c] + P.p) // q + w) % m] = c
+        edges[(b + m - w) % m] = None
+    edges.setdefault(0, edges[max(edges)] if edges else None)  # last run wraps to 0
+    runs = [(lo, hi, edges[lo]) for lo, hi in pairwise([*sorted(edges), m])]
 
-    @functools.cache
-    def missed(s: frozenset, r: int) -> int:
-        """Number of r-tuples of axis cells whose color sets meet s in nothing."""
-        return sum(k * missed(s & a, r - 1) for a, k in groups) if r else int(not s)
+    def viable(s: frozenset, r: int):
+        """In order, the axis cells that leave fewer than r colors of s unmissed."""
+        for lo, hi, c in runs:  # cells lo..hi-1 miss color c, or none if None
+            if len(s) - (c in s) < r:
+                yield from ((i, s - {c}) for i in range(lo, hi))
 
-    def gaps(s: frozenset, r: int):
-        """In order, the r-tuples of axis-cell centers whose sets meet s in nothing."""
-        for i, a in enumerate(axis):
-            if missed(s & a, r - 1):
-                tails = gaps(s & a, r - 1) if r > 1 else [()]
-                yield from ((Fraction(2 * i + 1, 2 * m), *w) for w in tails)
+    def gaps():
+        """In order, the uncovered n-tuples of axis cells, walked with a stack."""
+        cells, stack = [], [viable(full, n)]
+        while stack:
+            del cells[len(stack) - 1 :]  # one cell per axis above the top
+            if (step := next(stack[-1], None)) is None:
+                stack.pop()
+            elif len(stack) == n:
+                yield (*cells, step[0])
+            else:
+                cells.append(step[0])
+                stack.append(viable(step[1], n - len(stack)))
 
-    return CoveringReport(
-        n=P.n,
-        p=P.p,
-        colors=cols,
-        grid_step=Fraction(1, m),
-        cells_total=m**P.n,
-        cells_uncovered=missed(full, P.n),
-        witnesses=tuple(islice(gaps(full, P.n), 32)),
+    k = len(full)  # past k = n the count is 0: skip it
+    uncovered = sum(
+        (-1) ** j * math.comb(k, j) * (m - j * (m - w)) ** n
+        for j in range(k + 1 if k <= n else 0)
     )
+    found = [tuple(Fraction(2 * i + 1, 2 * m) for i in g) for g in islice(gaps(), 32)]
+    return CoveringReport(n, P.p, cols, Fraction(1, m), m**n, uncovered, tuple(found))

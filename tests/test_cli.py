@@ -37,11 +37,18 @@ class TestChecks:
         assert doc["covered"] is True and doc["cells_total"] == 441
 
     def test_check_covering_budget_limit(self, capsys):
-        # The bound is fixed; only (n, p) can take a check past it.
+        # No work bound: an axis of 2e10 cells, and 41 colors at n = 40.
         for n, p in [("1", "100000"), ("40", "83")]:
-            code, _, err = run(capsys, "check-covering", "--n", n, "--p", p)
-            assert code == 3
-            assert err.startswith("limit:") and "bound" in err
+            code, out, _ = run(capsys, "check-covering", "--n", n, "--p", p)
+            assert code == 0
+            assert out.startswith("covered: True (0/")
+
+    def test_check_covering_past_the_digit_limit(self, capsys):
+        # The library answers; the CLI cannot print the 4,887-digit cell count.
+        code, out, err = run(capsys, "check-covering", "--n", "800", "--p", "1603")
+        assert code == 3 and not out
+        assert err.startswith("limit:")
+        assert f"({sys.get_int_max_str_digits()} digits)" in err
 
     def test_check_separation(self, capsys):
         code, out, _ = run(
@@ -312,16 +319,21 @@ class TestVerify:
         (["distance", "--z", "120,0", "--w", "120,0.5", "--json"], 0),
         # p^-t overflows in the near_pairs offsets, below the level bound.
         (["verify", "--samples", "5", "--strategy", "near_pairs", "--region=-445,-443,1"], 3),
-        # No subcommand has a cell budget option; the covering bound is fixed.
+        # No subcommand has a cell budget option; covering has no work bound.
         (["check-covering", "--cell-budget", "0"], 2),
         # The later --n and --p win: m^n is 9e6 cells, counted without a visit.
         (["check-covering", "--n", "4", "--p", "11"], 0),
-        (["check-covering", "--n", "1", "--p", "100000"], 3),
+        (["check-covering", "--n", "1", "--p", "100000"], 0),
         # verify always writes JSON and export-subtree takes --format: no --json.
         (["verify", "--samples", "10", "--json"], 2),
         (["export-subtree", "--id", "0,1,2", "--json"], 2),
-        # The axis table of 999,000 cells is read from the map's integers.
+        # 999,000 axis cells, read in runs.
         (["check-covering", "--n", "1", "--p", "1000"], 0),
+        # A value that starts with "-" and holds a comma needs the = form.
+        (["embed", "--point=-2.5,100"], 0),
+        (["embed", "--point", "-2.5,100"], 2),
+        # Answered, but its 4,887-digit cell count is past Python's print limit.
+        (["check-covering", "--n", "800", "--p", "1603"], 3),
     ],
 )
 def test_out_of_domain_input_exits_promptly(argv, code):

@@ -428,11 +428,49 @@ class TestCovering:
             assert w > F(4, 5) or w < F(1, 5)
 
     def test_budget(self):
-        # Past the fixed bound: an axis table of 2e10 cells, and 2^41 memo
-        # states for the 41 colors at n = 40.
+        # No work bound: an axis of 2e10 cells, and 41 colors at n = 40.
         for n, p in [(1, 100_000), (40, 83)]:
-            with pytest.raises(ResourceLimit, match="bound"):
-                verify_covering_level0(validate_params(n, p))
+            report = verify_covering_level0(validate_params(n, p))
+            assert report.covered and not report.witnesses
+
+    def test_missing_runs_are_disjoint(self):
+        # The premise of the lemma that each axis cell misses at most one
+        # color: the open gaps (hi, lo + 1) of the level-0 slabs, each 2/p
+        # long, lie at least 2/p apart on the unit circle.
+        for P in _accepted_params(29, 199):
+            starts = sorted(P.slab(c, 0, 0)[1] % 1 for c in P.colors)
+            spacings = [b - a for a, b in zip(starts, starts[1:] + [starts[0] + 1])]
+            assert min(spacings) >= F(2, P.p), (P.n, P.p)
+
+    def test_count_matches_closed_form(self):
+        # k colors are missed on n axes iff each is missed on one of them; a
+        # color misses 2m/p of the m axis cells, and the misses are disjoint.
+        P = validate_params(40, 83)
+        report = verify_covering_level0(P, colors=range(20))
+        m = report.grid_step.denominator
+        g = 2 * m // P.p
+        assert report.cells_uncovered == sum(
+            (-1) ** j * math.comb(20, j) * (m - j * g) ** 40 for j in range(21)
+        ) > 0
+        assert report.cells_total == m**40
+
+    def test_walk_deeper_than_the_recursion_limit(self):
+        P = validate_params(1200, 2403)
+        report = verify_covering_level0(P, colors=range(5))
+        assert len(report.witnesses) == 32
+        assert report.witnesses == tuple(sorted(set(report.witnesses)))
+        # Directly: every axis takes cell 0 until the last axes, which take
+        # the first cell missing each color that cell 0 does not miss.
+        m = report.grid_step.denominator
+        first = {}
+        for c in range(5):
+            lo, hi = P.slab(c, 0, 0)
+            a, end = hi % 1 * m, (hi % 1 + F(2, P.p)) * m  # the gap, in cells
+            first[c] = 0 if end > m else int(a)
+        tail = sorted(i for i in first.values() if i)
+        cells = (0,) * (P.n - len(tail)) + tuple(tail)
+        assert report.witnesses[0] == tuple(F(2 * i + 1, 2 * m) for i in cells)
+        assert all(locate(P, c, 0, report.witnesses[0]) is None for c in range(5))
 
     def test_json_shape(self, p5):
         doc = verify_covering_level0(p5).to_json_dict()
