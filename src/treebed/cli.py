@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 
@@ -16,6 +17,7 @@ from .cubes import (
     CubeId,
     SeparationKind,
     check_level,
+    covering_grid,
     separation_verdict,
     verify_covering_level0,
 )
@@ -114,14 +116,25 @@ def _cmd_tree_dist(args) -> int:
 
 
 def _cmd_check_covering(args) -> int:
-    report = verify_covering_level0(validate_params(args.n, args.p))
+    P = validate_params(args.n, args.p)
+    limit = sys.get_int_max_str_digits()
+    too_long = ResourceLimit(
+        "the cell count cannot be printed: it has more digits than the limit "
+        f"({limit} digits) for integer string conversion; the environment "
+        "variable PYTHONINTMAXSTRDIGITS sets that limit"
+    )
+    # The count m^n has floor(n log10 m) + 1 digits: refuse it before
+    # computing the power, which takes seconds at a million digits.
+    if limit and P.n * math.log10(covering_grid(P)[1]) >= limit:
+        raise too_long
+    report = verify_covering_level0(P)
     try:
         plain = (
             f"covered: {report.covered} "
             f"({report.cells_uncovered}/{report.cells_total} cells uncovered)"
         )
-    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-        raise ResourceLimit(f"the cell count cannot be printed: {exc}") from None
+    except ValueError:  # a count the float estimate rounded below the limit
+        raise too_long from None
     _emit(args, report.to_json_dict(), plain)
     return EXIT_OK if report.covered else EXIT_CHECK_FAILED
 
@@ -314,16 +327,38 @@ def _apply_config(argv: list[str]) -> list[str]:
             if value:
                 extra.append(flag)
         else:
-            extra.extend([flag, str(value)])
+            extra.append(f"{flag}={value}")  # one token, even for "-4,4,625"
     if not rest:
         return rest
     return [rest[0]] + extra + rest[1:]
 
 
+# Flags whose values are comma lists that may start with "-", and the starts
+# of such a value: a minus sign, then a digit or a point.
+_LIST_FLAGS = ("--point", "--z", "--w", "--u", "--v", "--id", "--region")
+_SIGNED = tuple("-" + c for c in "0123456789.")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """Join "--point -2.5,100" into "--point=-2.5,100".
+
+    argparse reads a token that starts with "-" as an option unless it is a
+    plain number, so a list value such as "-2.5,100" must be joined to its
+    flag for argparse to take it as the value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _LIST_FLAGS and arg.startswith(_SIGNED):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
+        argv = _join_signed_values(_apply_config(argv))
         try:
             args = _parser().parse_args(argv)
         except SystemExit as exc:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
 
-Rational = Union[Fraction, int]
+Rational = Fraction | int
 RationalVec = tuple[Fraction, ...]
 
 
@@ -37,8 +36,44 @@ class ResourceLimit(RuntimeError):
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class Params:
+class Record:
+    """Immutable record whose fields are its class's ``__slots__``, in order.
+
+    A record's ``__init__`` sets each field once through
+    ``object.__setattr__`` and runs the record's checks. Records equal only
+    records of their own type with equal fields, hash as the tuple of their
+    fields, print as ``Name(field=value, ...)``, and pickle and copy by
+    calling the constructor again, so that a copy passes the same checks.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Params(Record):
     """Validated parameters (n, p) with the per-axis map of the cube patterns.
 
     ``n`` is the horosphere dimension (the embedded space has dimension
@@ -63,14 +98,20 @@ class Params:
     Construct only through :func:`validate_params`.
     """
 
-    n: int
-    p: int
-    m: tuple[int, ...]
-    D: int
-    C: tuple[int, ...]
-    W: int
-    level_bound: float
-    sigma: float
+    __slots__ = ("n", "p", "m", "D", "C", "W", "level_bound", "sigma")
+
+    def __init__(
+        self, n: int, p: int, m: tuple[int, ...], D: int, C: tuple[int, ...],
+        W: int, level_bound: float, sigma: float,
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "level_bound", level_bound)
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def colors(self) -> range:
@@ -138,21 +179,19 @@ def validate_params(n: int, p: int) -> Params:
     )
 
 
-@dataclass(frozen=True)
-class RationalBox:
+class RationalBox(Record):
     """Closed axis-aligned box with exact rational corners."""
 
-    lo: RationalVec
-    hi: RationalVec
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if len(self.lo) != len(self.hi):
-            raise DimensionMismatch(
-                f"lo has dimension {len(self.lo)}, hi has {len(self.hi)}"
-            )
-        for lo, hi in zip(self.lo, self.hi):
-            if lo > hi:
-                raise ValueError(f"empty box: lo {lo} > hi {hi}")
+    def __init__(self, lo: RationalVec, hi: RationalVec) -> None:
+        if len(lo) != len(hi):
+            raise DimensionMismatch(f"lo has dimension {len(lo)}, hi has {len(hi)}")
+        for a, b in zip(lo, hi):
+            if a > b:
+                raise ValueError(f"empty box: lo {a} > hi {b}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def dim(self) -> int:

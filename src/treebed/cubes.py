@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import islice, pairwise
 from operator import index
-from typing import Sequence
 
 from .core import (
     DimensionMismatch,
@@ -32,6 +31,7 @@ from .core import (
     Rational,
     RationalBox,
     RationalVec,
+    Record,
     ResourceLimit,
 )
 
@@ -53,13 +53,15 @@ def check_level(P: Params, k: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CubeId:
+class CubeId(Record):
     """Symbolic cube: color c, level k, lattice point gamma."""
 
-    c: int
-    k: int
-    gamma: tuple[int, ...]
+    __slots__ = ("c", "k", "gamma")
+
+    def __init__(self, c: int, k: int, gamma: tuple[int, ...]) -> None:
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "gamma", gamma)
 
     def key(self) -> tuple:
         return (self.c, self.k, self.gamma)
@@ -138,8 +140,7 @@ class SeparationKind(enum.Enum):
     VIOLATION = "violation"
 
 
-@dataclass(frozen=True)
-class SeparationVerdict:
+class SeparationVerdict(Record):
     """Classification of a lower-level/higher-level cube pair.
 
     The required clearance is p^-(k+1) for the higher level k. Disjoint and
@@ -148,9 +149,15 @@ class SeparationVerdict:
     boundary margin.
     """
 
-    kind: SeparationKind
-    gap_sq: Fraction | None = None
-    margin: Fraction | None = None
+    __slots__ = ("kind", "gap_sq", "margin")
+
+    def __init__(
+        self, kind: SeparationKind,
+        gap_sq: Fraction | None = None, margin: Fraction | None = None,
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "gap_sq", gap_sq)
+        object.__setattr__(self, "margin", margin)
 
     @property
     def witness(self) -> Fraction:
@@ -209,17 +216,23 @@ def separation_verdict(P: Params, low: CubeId, high: CubeId) -> SeparationVerdic
     return SeparationVerdict(kind=kind, margin=Fraction(margin * up, D * dn))
 
 
-@dataclass(frozen=True)
-class CoveringReport:
+class CoveringReport(Record):
     """Exact verdict of the level-0 covering check on the unit torus."""
 
-    n: int
-    p: int
-    colors: tuple[int, ...]
-    grid_step: Fraction
-    cells_total: int
-    cells_uncovered: int
-    witnesses: tuple[RationalVec, ...]
+    __slots__ = ("n", "p", "colors", "grid_step", "cells_total", "cells_uncovered",
+                 "witnesses")
+
+    def __init__(
+        self, n: int, p: int, colors: tuple[int, ...], grid_step: Fraction,
+        cells_total: int, cells_uncovered: int, witnesses: tuple[RationalVec, ...],
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "grid_step", grid_step)
+        object.__setattr__(self, "cells_total", cells_total)
+        object.__setattr__(self, "cells_uncovered", cells_uncovered)
+        object.__setattr__(self, "witnesses", witnesses)
 
     @property
     def covered(self) -> bool:
@@ -236,6 +249,13 @@ class CoveringReport:
             "covered": self.covered,
             "witnesses": [[str(c) for c in w] for w in self.witnesses],
         }
+
+
+def covering_grid(P: Params) -> tuple[int, int]:
+    """(q, m): level-0 covering decides on m = D/q axis cells of side q/D,
+    q = gcd(p-1, m_c); see :func:`verify_covering_level0`."""
+    q = math.gcd(P.p - 1, *P.m)
+    return q, P.D // q
 
 
 def verify_covering_level0(
@@ -261,8 +281,8 @@ def verify_covering_level0(
     cols = tuple(P.colors) if colors is None else tuple(colors)
     for c in cols:
         _check_color(P, c)
-    n, q, full = P.n, math.gcd(P.p - 1, *P.m), frozenset(cols)
-    m, w = P.D // q, P.W // q
+    (q, m), n, full = covering_grid(P), P.n, frozenset(cols)
+    w = P.W // q
     edges = {}  # axis cell where a gap starts: its color; where one ends: None
     for c in full:
         edges[b := ((P.C[c] + P.p) // q + w) % m] = c

@@ -10,10 +10,9 @@ image by a bounded amount and keeps the map O(n) per color.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .core import Params
+from .core import Params, Record
 from .cubes import ColorMismatch, CubeId, nearest_in_level
 from .hyperbolic import HoroPoint
 from .tree import tree_distance
@@ -21,12 +20,14 @@ from .tree import tree_distance
 NORMS = ("l1", "l2", "linf")
 
 
-@dataclass(frozen=True)
-class EmbeddedPoint:
+class EmbeddedPoint(Record):
     """Image of a point: one cube per color, plus the source point."""
 
-    images: tuple[CubeId, ...]
-    source: HoroPoint
+    __slots__ = ("images", "source")
+
+    def __init__(self, images: tuple[CubeId, ...], source: HoroPoint) -> None:
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "source", source)
 
     def to_json_dict(self) -> dict:
         return {

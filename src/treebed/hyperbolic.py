@@ -10,22 +10,21 @@ exactly 1/p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .core import DimensionMismatch, Params, ResourceLimit
+from .core import DimensionMismatch, Params, Record, ResourceLimit
 
 
-@dataclass(frozen=True)
-class HoroPoint:
+class HoroPoint(Record):
     """Point (t, x): horospherical height t and horosphere coordinates x."""
 
-    t: float
-    x: tuple[float, ...]
+    __slots__ = ("t", "x")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t) and all(map(math.isfinite, self.x))):
-            raise ValueError(f"non-finite coordinate in t={self.t}, x={self.x}")
+    def __init__(self, t: float, x: tuple[float, ...]) -> None:
+        if not (math.isfinite(t) and all(map(math.isfinite, x))):
+            raise ValueError(f"non-finite coordinate in t={t}, x={x}")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "x", x)
 
 
 def _check_dim(P: Params, z: HoroPoint) -> None:

@@ -16,12 +16,11 @@ every color).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
 
-from .core import Params, RationalBox
+from .core import Params, RationalBox, Record
 from .cubes import ColorMismatch, CubeId, ResourceLimit, _check_id, realize
 
 
@@ -123,12 +122,16 @@ def tree_path(P: Params, u: CubeId, v: CubeId) -> list[CubeId]:
     return ancestor_chain(P, u, k) + down
 
 
-@dataclass(frozen=True)
-class EdgeSet:
+class EdgeSet(Record):
     """Brute-force edge enumeration over a finite window of one color tree."""
 
-    vertices: tuple[CubeId, ...]
-    edges: frozenset[tuple[CubeId, CubeId]]
+    __slots__ = ("vertices", "edges")
+
+    def __init__(
+        self, vertices: tuple[CubeId, ...], edges: frozenset[tuple[CubeId, CubeId]]
+    ) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
 
 def _level_contains_box(

@@ -11,18 +11,16 @@ does not drift as the sampled region grows.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
 import random
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Sequence
 from operator import index
-from typing import Sequence
 
-from .core import Params, ResourceLimit
+from .core import Params, Record, ResourceLimit
 from .embedding import embed, embedding_level, per_color_distances, product_norm
 from .hyperbolic import HoroPoint, hyp_distance
 
@@ -37,17 +35,17 @@ class DegenerateSample(ValueError):
     """No sample pair carries slope information (all essentially identical)."""
 
 
-@dataclass(frozen=True)
-class Region:
-    t_min: float
-    t_max: float
-    x_radius: float
+class Region(Record):
+    __slots__ = ("t_min", "t_max", "x_radius")
 
-    def __post_init__(self) -> None:
-        if self.t_min > self.t_max:
-            raise ValueError(f"t_min {self.t_min} > t_max {self.t_max}")
-        if self.x_radius <= 0:
-            raise ValueError(f"x_radius must be positive, got {self.x_radius}")
+    def __init__(self, t_min: float, t_max: float, x_radius: float) -> None:
+        if t_min > t_max:
+            raise ValueError(f"t_min {t_min} > t_max {t_max}")
+        if x_radius <= 0:
+            raise ValueError(f"x_radius must be positive, got {x_radius}")
+        object.__setattr__(self, "t_min", t_min)
+        object.__setattr__(self, "t_max", t_max)
+        object.__setattr__(self, "x_radius", x_radius)
 
     def scaled(self, factor: float) -> "Region":
         return Region(
@@ -66,20 +64,22 @@ def default_region(P: Params) -> Region:
     return Region(-4.0, 4.0, float(P.p**4))
 
 
-@dataclass(frozen=True)
-class SamplePlan:
-    region: Region
-    count: int
-    strategy: str = "uniform"
-    seed: int = 0
+class SamplePlan(Record):
+    __slots__ = ("region", "count", "strategy", "seed")
 
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.strategy not in STRATEGIES:
+    def __init__(
+        self, region: Region, count: int, strategy: str = "uniform", seed: int = 0
+    ) -> None:
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        if strategy not in STRATEGIES:
             raise ValueError(
-                f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
+                f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
             )
+        object.__setattr__(self, "region", region)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "strategy", strategy)
+        object.__setattr__(self, "seed", seed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -148,26 +148,39 @@ def sample_pairs(
     return pairs
 
 
-@dataclass(frozen=True)
-class PairSample:
-    z: HoroPoint
-    zp: HoroPoint
-    d_hyp: float
-    d_tree: float
-    per_color: tuple[int, ...]
+class PairSample(Record):
+    __slots__ = ("z", "zp", "d_hyp", "d_tree", "per_color")
+
+    def __init__(
+        self, z: HoroPoint, zp: HoroPoint, d_hyp: float, d_tree: float,
+        per_color: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "zp", zp)
+        object.__setattr__(self, "d_hyp", d_hyp)
+        object.__setattr__(self, "d_tree", d_tree)
+        object.__setattr__(self, "per_color", per_color)
 
 
-@dataclass(frozen=True)
-class DistortionReport:
-    n: int
-    p: int
-    norm: str
-    samples: tuple[PairSample, ...]
-    plan: SamplePlan | None = None
-    l: float | None = None
-    m: float | None = None
-    violations: int | None = None
-    runtime_ms: float | None = None
+class DistortionReport(Record):
+    __slots__ = ("n", "p", "norm", "samples", "plan", "l", "m", "violations",
+                 "runtime_ms")
+
+    def __init__(
+        self, n: int, p: int, norm: str, samples: tuple[PairSample, ...],
+        plan: SamplePlan | None = None, l: float | None = None,
+        m: float | None = None, violations: int | None = None,
+        runtime_ms: float | None = None,
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "runtime_ms", runtime_ms)
 
     def to_json_dict(self) -> dict:
         # runtime_ms deliberately stays out: report files must be
@@ -284,8 +297,10 @@ def fit_qi_constants(report: DistortionReport, m_max: int = 50) -> DistortionRep
 
     l = slope(float(m_max))
     m = float(bisect_left(range(m_max), True, key=lambda j: slope(float(j)) <= l))
-    return dataclasses.replace(
-        report, l=l, m=m, violations=count_violations(report.samples, l, m)
+    r = report
+    violations = count_violations(r.samples, l, m)
+    return DistortionReport(
+        r.n, r.p, r.norm, r.samples, r.plan, l, m, violations, r.runtime_ms
     )
 
 

@@ -250,6 +250,20 @@ class TestVerify:
         assert code == 0
         assert json.loads((tmp_path / "r2.json").read_text())["n_samples"] == 30
 
+    @pytest.mark.parametrize(
+        "argv,key,value",
+        [
+            (["verify", "--n", "1", "--p", "5", "--samples", "20"], "region", "-4,4,625"),
+            (["embed", "--n", "1", "--p", "5"], "point", "-2.5,100"),
+        ],
+    )
+    def test_config_value_starting_with_minus(self, capsys, tmp_path, argv, key, value):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({key: value}))
+        code, out, _ = run(capsys, "--config", str(conf), *argv)
+        assert code == 0
+        assert run(capsys, *argv, f"--{key}={value}")[:2] == (0, out)
+
     def test_config_equals_form(self, capsys, tmp_path):
         conf = tmp_path / "run.json"
         conf.write_text(json.dumps({"samples": 7, "seed": 3}))
@@ -329,11 +343,13 @@ class TestVerify:
         (["export-subtree", "--id", "0,1,2", "--json"], 2),
         # 999,000 axis cells, read in runs.
         (["check-covering", "--n", "1", "--p", "1000"], 0),
-        # A value that starts with "-" and holds a comma needs the = form.
+        # A value that starts with "-" and holds a comma, joined or spaced.
         (["embed", "--point=-2.5,100"], 0),
-        (["embed", "--point", "-2.5,100"], 2),
+        (["embed", "--point", "-2.5,100"], 0),
         # Answered, but its 4,887-digit cell count is past Python's print limit.
         (["check-covering", "--n", "800", "--p", "1603"], 3),
+        # 12 million digits: refused from n log10 m, before m^n is computed.
+        (["check-covering", "--n", "1000000", "--p", "2000003"], 3),
     ],
 )
 def test_out_of_domain_input_exits_promptly(argv, code):
@@ -356,7 +372,7 @@ def _reject_constant(name):
 @pytest.mark.parametrize(
     "argv,code",
     [
-        # argparse reads -1,0,0 as an option, so --v has no value.
+        # --v takes -1,0,0 as its value, and -1 is no color.
         (["tree-dist", "--n", "1", "--p", "5", "--u", "0,0,0", "--v", "-1,0,0"], 2),
         (["tree-dist", "--n", "1"], 2),
         (["no-such-command"], 2),
