@@ -20,7 +20,6 @@ from .cubes import (
     ColorMismatch,
     CoveringReport,
     CubeId,
-    LevelOrder,
     SeparationKind,
     SeparationVerdict,
     locate,
@@ -41,7 +40,6 @@ from .hyperbolic import (
     hyp_distance,
 )
 from .tree import (
-    EdgeSet,
     ancestor_chain,
     brute_force_edges,
     export_subtree,
@@ -50,7 +48,6 @@ from .tree import (
     tree_path,
 )
 from .verifier import (
-    DegenerateSample,
     DistortionReport,
     Region,
     SamplePlan,
@@ -85,14 +82,12 @@ __all__ = [
     "CoveringReport",
     "verify_covering_level0",
     "ColorMismatch",
-    "LevelOrder",
     "ResourceLimit",
     "parent",
     "ancestor_chain",
     "tree_distance",
     "tree_path",
     "brute_force_edges",
-    "EdgeSet",
     "export_subtree",
     "EmbeddedPoint",
     "embed",
@@ -107,5 +102,4 @@ __all__ = [
     "vertical_bound_check",
     "stability_probe",
     "DistortionReport",
-    "DegenerateSample",
 ]

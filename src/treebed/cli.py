@@ -12,7 +12,7 @@ import math
 import random
 import sys
 
-from .core import InvalidParams, ResourceLimit, validate_params
+from .core import Params, ResourceLimit, validate_params
 from .cubes import (
     CubeId,
     SeparationKind,
@@ -39,17 +39,13 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
 
-class _UsageError(ValueError):
-    pass
-
-
 def _parse_cube(text: str) -> CubeId:
     try:
         parts = [int(v) for v in text.split(",")]
     except ValueError as exc:
-        raise _UsageError(f"bad cube id {text!r}: {exc}") from exc
+        raise ValueError(f"bad cube id {text!r}: {exc}") from exc
     if len(parts) < 3:
-        raise _UsageError(f"cube id needs c,k,g1[,g2,...], got {text!r}")
+        raise ValueError(f"cube id needs c,k,g1[,g2,...], got {text!r}")
     return CubeId(parts[0], parts[1], tuple(parts[2:]))
 
 
@@ -57,9 +53,9 @@ def _parse_point(text: str, n: int) -> HoroPoint:
     try:
         vals = [float(v) for v in text.split(",")]
     except ValueError as exc:
-        raise _UsageError(f"bad point {text!r}: {exc}") from exc
+        raise ValueError(f"bad point {text!r}: {exc}") from exc
     if len(vals) != n + 1:
-        raise _UsageError(f"point needs t,x1..x{n}, got {text!r}")
+        raise ValueError(f"point needs t,x1..x{n}, got {text!r}")
     return HoroPoint(vals[0], tuple(vals[1:]))
 
 
@@ -68,7 +64,7 @@ def _parse_region(text: str) -> Region:
         t_min, t_max, x_radius = (float(v) for v in text.split(","))
         return Region(t_min, t_max, x_radius)
     except ValueError as exc:
-        raise _UsageError(f"bad region {text!r}: {exc}") from exc
+        raise ValueError(f"bad region {text!r}: {exc}") from exc
 
 
 def _write(args, text: str) -> None:
@@ -89,16 +85,14 @@ def _emit(args, payload: dict, plain: str) -> None:
     )
 
 
-def _cmd_embed(args) -> int:
-    P = validate_params(args.n, args.p)
+def _cmd_embed(P: Params, args) -> int:
     point = _parse_point(args.point, P.n)
     doc = embed(P, point).to_json_dict()
     _emit(args, doc, json.dumps(doc, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
-def _cmd_distance(args) -> int:
-    P = validate_params(args.n, args.p)
+def _cmd_distance(P: Params, args) -> int:
     z = _parse_point(args.z, P.n)
     w = _parse_point(args.w, P.n)
     d = hyp_distance(P, z, w)
@@ -106,8 +100,7 @@ def _cmd_distance(args) -> int:
     return EXIT_OK
 
 
-def _cmd_tree_dist(args) -> int:
-    P = validate_params(args.n, args.p)
+def _cmd_tree_dist(P: Params, args) -> int:
     u = _parse_cube(args.u)
     v = _parse_cube(args.v)
     d = tree_distance(P, u, v)
@@ -115,8 +108,7 @@ def _cmd_tree_dist(args) -> int:
     return EXIT_OK
 
 
-def _cmd_check_covering(args) -> int:
-    P = validate_params(args.n, args.p)
+def _cmd_check_covering(P: Params, args) -> int:
     limit = sys.get_int_max_str_digits()
     too_long = ResourceLimit(
         "the cell count cannot be printed: it has more digits than the limit "
@@ -139,14 +131,13 @@ def _cmd_check_covering(args) -> int:
     return EXIT_OK if report.covered else EXIT_CHECK_FAILED
 
 
-def _cmd_check_separation(args) -> int:
-    P = validate_params(args.n, args.p)
+def _cmd_check_separation(P: Params, args) -> int:
     if args.samples < 1:
-        raise _UsageError(f"--samples must be >= 1, got {args.samples}")
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     if args.gamma_bound is not None and args.gamma_bound < 0:
-        raise _UsageError(f"--gamma-bound must be >= 0, got {args.gamma_bound}")
+        raise ValueError(f"--gamma-bound must be >= 0, got {args.gamma_bound}")
     if args.level_min >= args.level_max:
-        raise _UsageError(
+        raise ValueError(
             f"need --level-min < --level-max, got {args.level_min} >= {args.level_max}"
         )
     check_level(P, args.level_min)
@@ -180,10 +171,9 @@ def _cmd_check_separation(args) -> int:
     return EXIT_OK if violations == 0 else EXIT_CHECK_FAILED
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(P: Params, args) -> int:
     if args.threads < 1:
-        raise _UsageError(f"--threads must be >= 1, got {args.threads}")
-    P = validate_params(args.n, args.p)
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     plan = SamplePlan(
         region=_parse_region(args.region) if args.region else default_region(P),
         count=args.samples,
@@ -209,8 +199,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if fitted.violations == 0 else EXIT_CHECK_FAILED
 
 
-def _cmd_export_subtree(args) -> int:
-    P = validate_params(args.n, args.p)
+def _cmd_export_subtree(P: Params, args) -> int:
     ids = [_parse_cube(t) for t in args.id or []]
     if args.ids_file:
         with open(args.ids_file) as fh:
@@ -220,7 +209,7 @@ def _cmd_export_subtree(args) -> int:
                 if line.strip() and not line.startswith("#")
             )
     if not ids:
-        raise _UsageError("no cube ids given (use --id or --ids-file)")
+        raise ValueError("no cube ids given (use --id or --ids-file)")
     _write(args, export_subtree(P, ids, fmt=args.format))
     return EXIT_OK
 
@@ -313,11 +302,11 @@ def _apply_config(argv: list[str]) -> list[str]:
     elif i + 1 < len(argv):
         path, rest = argv[i + 1], argv[:i] + argv[i + 2 :]
     else:
-        raise _UsageError("--config needs a file path")
+        raise ValueError("--config needs a file path")
     with open(path) as fh:
         conf = json.load(fh)
     if not isinstance(conf, dict):
-        raise _UsageError(f"config {path!r} must hold a JSON object")
+        raise ValueError(f"config {path!r} must hold a JSON object")
     extra: list[str] = []
     for key, value in conf.items():
         flag = "--" + key.replace("_", "-")
@@ -364,8 +353,8 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             # argparse exits after --help (0) and after a usage error (2).
             return EXIT_OK if exc.code == 0 else EXIT_USAGE
-        return args.fn(args)
-    except (_UsageError, InvalidParams, ValueError, OSError) as exc:
+        return args.fn(validate_params(args.n, args.p), args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimit as exc:

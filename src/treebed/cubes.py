@@ -40,10 +40,6 @@ class ColorMismatch(ValueError):
     """Operation mixed cubes of different colors."""
 
 
-class LevelOrder(ValueError):
-    """Cube pair was not presented in ascending level order."""
-
-
 def check_level(P: Params, k: int) -> None:
     """Raise ResourceLimit for a level k with |k| > P.level_bound."""
     if abs(k) > P.level_bound:
@@ -184,7 +180,7 @@ def separation_verdict(P: Params, low: CubeId, high: CubeId) -> SeparationVerdic
     if low.c != high.c:
         raise ColorMismatch(f"colors {low.c} vs {high.c}")
     if low.k >= high.k:
-        raise LevelOrder(f"need low.k < high.k, got {low.k} >= {high.k}")
+        raise ValueError(f"need low.k < high.k, got {low.k} >= {high.k}")
     _check_id(P, low)
     _check_id(P, high)
     p, D, W, k = P.p, P.D, P.W, high.k

@@ -20,7 +20,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import product
 
-from .core import Params, RationalBox, Record
+from .core import Params, RationalBox
 from .cubes import ColorMismatch, CubeId, ResourceLimit, _check_id, realize
 
 
@@ -65,8 +65,8 @@ def ancestor_chain(P: Params, cid: CubeId, floor_level: int) -> list[CubeId]:
     return chain
 
 
-def _meet(P: Params, u: CubeId, v: CubeId) -> tuple[int, int, int]:
-    """The level where the walks from u and from v meet, and their hops.
+def _meet(P: Params, u: CubeId, v: CubeId) -> tuple[int, int]:
+    """The level where the walks from u and from v meet, and their hop total.
 
     Always advances the endpoint at the higher level (u on a tie) by the
     inlined hop of ancestor_chain, counting hops and keeping no walked cube.
@@ -80,7 +80,7 @@ def _meet(P: Params, u: CubeId, v: CubeId) -> tuple[int, int, int]:
     _check_id(P, v)
     p, top, lift = P.p, P.p - 2, 1 - P.m[u.c]
     ka, a, kb, b = u.k, list(u.gamma), v.k, list(v.gamma)
-    hops_u = hops_v = 0
+    hops = 0
     while ka != kb or a != b:
         up_u = ka >= kb
         if up_u:
@@ -102,36 +102,22 @@ def _meet(P: Params, u: CubeId, v: CubeId) -> tuple[int, int, int]:
                 break
         if up_u:
             ka, a = j, gamma
-            hops_u += 1
         else:
             kb, b = j, gamma
-            hops_v += 1
-    return ka, hops_u, hops_v
+        hops += 1
+    return ka, hops
 
 
 def tree_distance(P: Params, u: CubeId, v: CubeId) -> int:
     """Hop count of the unique path between u and v in their color tree."""
-    _, hops_u, hops_v = _meet(P, u, v)
-    return hops_u + hops_v
+    return _meet(P, u, v)[1]
 
 
 def tree_path(P: Params, u: CubeId, v: CubeId) -> list[CubeId]:
     """Vertex sequence of the unique u-v path (u and v included)."""
-    k, _, _ = _meet(P, u, v)
+    k = _meet(P, u, v)[0]
     down = ancestor_chain(P, v, k)[-2::-1]
     return ancestor_chain(P, u, k) + down
-
-
-class EdgeSet(Record):
-    """Brute-force edge enumeration over a finite window of one color tree."""
-
-    __slots__ = ("vertices", "edges")
-
-    def __init__(
-        self, vertices: tuple[CubeId, ...], edges: frozenset[tuple[CubeId, CubeId]]
-    ) -> None:
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
 
 
 def _level_contains_box(
@@ -159,7 +145,7 @@ def brute_force_edges(
     k_min: int,
     k_max: int,
     gamma_bound: int,
-) -> EdgeSet:
+) -> tuple[tuple[CubeId, ...], frozenset[tuple[CubeId, CubeId]]]:
     """Direct transcription of the edge definition over a finite window.
 
     Vertices are all cubes of color c with level in [k_min, k_max] and
@@ -170,7 +156,7 @@ def brute_force_edges(
     Test oracle only; quadratic in the window size.
     """
     if k_min > k_max:
-        return EdgeSet((), frozenset())
+        return (), frozenset()
     levels = list(range(k_min, k_max + 1))
     per_level = (2 * gamma_bound + 1) ** P.n
     if per_level * len(levels) > _VERTEX_BUDGET:
@@ -201,7 +187,7 @@ def brute_force_edges(
                     ):
                         continue
                     edges.add((vp, v))
-    return EdgeSet(tuple(verts), frozenset(edges))
+    return tuple(verts), frozenset(edges)
 
 
 def _steiner_span(
@@ -237,11 +223,6 @@ def export_subtree(
     id_list = list(ids)
     if not id_list:
         raise ValueError("no cube ids given")
-    color = id_list[0].c
-    for cid in id_list:
-        _check_id(P, cid)
-        if cid.c != color:
-            raise ColorMismatch(f"colors {color} vs {cid.c}")
     nodes, edges = _steiner_span(P, id_list)
     boxes = {v: realize(P, v) for v in nodes}
     if fmt.lower() == "json":
@@ -274,7 +255,7 @@ def export_subtree(
                 "a corner is beyond the double range; use the JSON format"
             ) from exc
 
-    lines = [f"graph T{color} {{"]
+    lines = [f"graph T{id_list[0].c} {{"]
     for v in nodes:
         b = boxes[v]
         lines.append(f'  "{name(v)}" [lo="{dec(b.lo)}", hi="{dec(b.hi)}"];')

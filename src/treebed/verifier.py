@@ -31,14 +31,13 @@ STRATEGIES = ("uniform", "same_horosphere", "vertical", "near_pairs")
 MIN_FIT_DHYP = 0.1
 
 
-class DegenerateSample(ValueError):
-    """No sample pair carries slope information (all essentially identical)."""
-
-
 class Region(Record):
     __slots__ = ("t_min", "t_max", "x_radius")
 
     def __init__(self, t_min: float, t_max: float, x_radius: float) -> None:
+        for name, value in zip(self.__slots__, (t_min, t_max, x_radius)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if t_min > t_max:
             raise ValueError(f"t_min {t_min} > t_max {t_max}")
         if x_radius <= 0:
@@ -231,7 +230,7 @@ def evaluate_pairs(
 ) -> DistortionReport:
     """Measure every pair, in order; fit fields stay empty."""
     if not pairs:
-        raise DegenerateSample("no pairs to evaluate")
+        raise ValueError("no pairs to evaluate")
     norm = norm.lower()
     start = time.perf_counter()
     samples = [_eval_one(P, pr, norm) for pr in pairs]
@@ -277,16 +276,18 @@ def fit_qi_constants(report: DistortionReport, m_max: int = 50) -> DistortionRep
     slope evaluations at the default). So the default reports the floor 1
     whenever every fitted pair has |d_tree - d_hyp| <= 50.
 
+    A fitted pair with d_tree = 0 bounds no slope, so only m can cover its
+    side d_hyp <= l*d_tree + m: m is at least ceil(d_hyp) over such pairs,
+    capped at m_max. That leaves l alone, as the slope never rises with m.
+
     Raises:
         TypeError: m_max is not an integer.
-        ValueError: m_max is negative.
+        ValueError: m_max is negative, or no pair reaches the fitting floor.
     """
     _check_m_max(m_max)
     fitting = [s for s in report.samples if s.d_hyp >= MIN_FIT_DHYP]
     if not fitting:
-        raise DegenerateSample(
-            "every pair is below the fitting floor; nothing to fit"
-        )
+        raise ValueError("every pair is below the fitting floor; nothing to fit")
     # (a, b) operands of the slope bounds (a - m) / b, built once for all m.
     operands = [(s.d_tree, s.d_hyp) for s in fitting] + [
         (s.d_hyp, s.d_tree) for s in fitting if s.d_tree > 0
@@ -295,8 +296,12 @@ def fit_qi_constants(report: DistortionReport, m_max: int = 50) -> DistortionRep
     def slope(m: float) -> float:
         return max(1.0, max([(a - m) / b for a, b in operands]))
 
+    flat = [s.d_hyp for s in fitting if s.d_tree == 0]
+    m_min = min(m_max, math.ceil(max(flat, default=0.0)))
     l = slope(float(m_max))
-    m = float(bisect_left(range(m_max), True, key=lambda j: slope(float(j)) <= l))
+    m = float(
+        bisect_left(range(m_max), True, m_min, key=lambda j: slope(float(j)) <= l)
+    )
     r = report
     violations = count_violations(r.samples, l, m)
     return DistortionReport(

@@ -110,15 +110,15 @@ def test_criterion_3_separation():
 def test_criterion_4_tree_oracle_equivalence():
     P = validate_params(1, 5)
     t0 = time.perf_counter()
-    es = brute_force_edges(P, 0, 0, 2, 100)
-    assert len(es.vertices) >= 500
+    vertices, edges = brute_force_edges(P, 0, 0, 2, 100)
+    assert len(vertices) >= 500
     adj = {}
-    for a, b in es.edges:
+    for a, b in edges:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
 
     # acyclicity via union-find
-    uf = {v: v for v in es.vertices}
+    uf = {v: v for v in vertices}
 
     def find(v):
         while uf[v] != v:
@@ -127,7 +127,7 @@ def test_criterion_4_tree_oracle_equivalence():
         return v
 
     acyclic = True
-    for a, b in es.edges:
+    for a, b in edges:
         ra, rb = find(a), find(b)
         if ra == rb:
             acyclic = False
@@ -135,7 +135,7 @@ def test_criterion_4_tree_oracle_equivalence():
 
     checked = 0
     mismatches = 0
-    for v in es.vertices:
+    for v in vertices:
         dist = {v: 0}
         q = deque([v])
         while q:
@@ -153,7 +153,7 @@ def test_criterion_4_tree_oracle_equivalence():
     report(
         4,
         acyclic and mismatches == 0 and dt < 60.0,
-        f"window of {len(es.vertices)} vertices acyclic; tree_distance == BFS on "
+        f"window of {len(vertices)} vertices acyclic; tree_distance == BFS on "
         f"{checked} same-component pairs, {mismatches} mismatches, {dt:.1f}s < 60s",
     )
 

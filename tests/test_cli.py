@@ -350,6 +350,14 @@ class TestVerify:
         (["check-covering", "--n", "800", "--p", "1603"], 3),
         # 12 million digits: refused from n log10 m, before m^n is computed.
         (["check-covering", "--n", "1000000", "--p", "2000003"], 3),
+        # A region field that is not finite is a usage error naming the field.
+        (["verify", "--samples", "5", "--region=-inf,0,1"], 2),
+        (["verify", "--samples", "5", "--region=0,inf,1"], 2),
+        (["verify", "--samples", "5", "--region=nan,0,1"], 2),
+        # Three pairs at tree distance 0 and d_hyp 0.20-0.38: the fit's m
+        # covers them, so the check finds no violation.
+        (["verify", "--n", "2", "--p", "7", "--samples", "3", "--seed", "7",
+          "--region=-23,-22,30"], 0),
     ],
 )
 def test_out_of_domain_input_exits_promptly(argv, code):
@@ -411,34 +419,123 @@ _levels = st.one_of(
     st.sampled_from([-10**9, -442, -441, -440, 440, 441, 442, 10**9]),
 )
 _gammas = st.one_of(st.integers(-60, 60), st.integers(-10**12, 10**12))
-_cube = st.builds(lambda c, k, g: f"{c},{k},{g}", st.integers(-1, 2), _levels, _gammas)
+# Reals past the float range, at its edges and in it, as command-line text.
+_reals = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "1e308", "-1e308", "5e-324", str(10**400)]),
+    st.floats(-30.0, 30.0).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+# Mostly regions that verify can sample: ordered ones of moderate size, and
+# thin ones far down inside one level's rounding interval, where pairs share
+# every cube (tree distance 0).
+_regions = st.one_of(
+    st.lists(_reals, min_size=3, max_size=3).map(",".join),
+    st.builds(
+        lambda a, b, r: f"{min(a, b)!r},{max(a, b)!r},{r!r}",
+        st.floats(-30.0, 30.0), st.floats(-30.0, 30.0),
+        st.floats(0.0, 1e4, exclude_min=True),
+    ),
+    st.builds(
+        lambda k, w, r: f"{k - w!r},{k + w!r},{r!r}",
+        st.integers(-40, 0), st.floats(0.05, 0.45), st.floats(0.0, 100.0, exclude_min=True),
+    ),
+)
+
+
+def _cube(n, colors):
+    return st.builds(
+        lambda c, k, g: ",".join(map(str, [c, k, *g])),
+        colors, _levels, st.lists(_gammas, min_size=n, max_size=n),
+    )
+
+
+def _point(n):
+    return st.lists(_reals, min_size=n + 1, max_size=n + 1).map(",".join)
 
 
 @st.composite
 def _query_argv(draw):
-    command = draw(st.sampled_from(["tree-dist", "export-subtree", "check-separation"]))
-    argv = [command, "--n", "1", "--p", "5"]
+    """A subcommand with its flags, and the flags moved to a --config file.
+
+    Every flag but --id may move to the config, which passes it on as
+    --flag=value; a config key may spell the flag with underscores.
+    """
+    command = draw(st.sampled_from([
+        "tree-dist", "export-subtree", "check-separation", "embed", "distance",
+        "verify", "check-covering",
+    ]))
+    n, p = draw(st.sampled_from([(1, 5), (1, 5), (1, 5), (2, 7), (2, 7), (1, 4)]))
+    flags = {"n": n, "p": p}
+    # Cubes share one color, or take any color, valid or not.
+    colors = st.one_of(st.just(draw(st.integers(0, n))), st.integers(-1, n + 1))
+    ids = []
+    if command != "verify" and command != "export-subtree":
+        flags["json"] = draw(st.booleans())
     if command == "tree-dist":
-        argv += [f"--u={draw(_cube)}", f"--v={draw(_cube)}"]
+        flags |= {"u": draw(_cube(n, colors)), "v": draw(_cube(n, colors))}
     elif command == "export-subtree":
-        argv += [f"--id={cube}" for cube in draw(st.lists(_cube, min_size=1, max_size=3))]
-        argv += ["--format", draw(st.sampled_from(["dot", "json"]))]
-    else:
-        argv += [
-            f"--level-min={draw(_levels)}",
-            f"--level-max={draw(_levels)}",
-            f"--samples={draw(st.integers(-1, 20))}",
-            f"--gamma-bound={draw(st.integers(-1, 10**6))}",
-        ]
-    return argv
+        ids = draw(st.lists(_cube(n, colors), min_size=1, max_size=3))
+        flags["format"] = draw(st.sampled_from(["dot", "json"]))
+    elif command == "check-separation":
+        flags |= {
+            "level-min": draw(_levels),
+            "level-max": draw(_levels),
+            "samples": draw(st.integers(-1, 20)),
+            "gamma-bound": draw(st.integers(-1, 10**6)),
+        }
+    elif command == "embed":
+        flags["point"] = draw(_point(n))
+    elif command == "distance":
+        flags |= {"z": draw(_point(n)), "w": draw(_point(n))}
+    elif command == "verify":
+        flags |= {
+            "region": draw(_regions),
+            "strategy": draw(st.sampled_from(
+                ["uniform", "same_horosphere", "vertical", "near_pairs"]
+            )),
+            "norm": draw(st.sampled_from(["l1", "l2", "linf"])),
+            "samples": draw(st.integers(1, 20)),
+            "seed": draw(st.integers(0, 2**32)),
+        }
+    conf = {}
+    argv = [command] + [f"--id={cube}" for cube in ids]
+    for name, value in flags.items():
+        if draw(st.booleans()):
+            conf[name.replace("-", draw(st.sampled_from("-_")))] = value
+        elif value is True:
+            argv.append(f"--{name}")
+        elif value is not False:
+            argv.append(f"--{name}={value}")
+    return argv, conf
 
 
-@given(_query_argv())
-@settings(max_examples=300, deadline=5000)
-def test_fuzzed_queries_end_with_an_exit_code(argv):
+@given(query=_query_argv())
+@settings(max_examples=600, deadline=5000)
+def test_fuzzed_queries_end_with_an_exit_code(query, tmp_path_factory):
     # In-process, so any exception escaping main fails the test; the
     # deadline bounds the time of every invocation.
+    argv, conf = query
+    command = argv[0]
+    work = tmp_path_factory.getbasetemp()
+    if command == "verify":
+        argv = argv + ["--output", str(work / "fuzz-report.json")]
+    if conf:
+        config = work / "fuzz-config.json"
+        config.write_text(json.dumps(conf))
+        argv = ["--config", str(config)] + argv
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 1:
+        # Exit 1 means a check ran and failed, so only the two checks give
+        # it, and not with a passing verdict; verify's fit covers every pair
+        # it fits.
+        passed = ("covered: True", '"covered": true', "violations: 0/", '"violations": 0,')
+        assert command.startswith("check-") and not any(v in out for v in passed)
+    elif code == 2:
+        assert "error: " in err
+    elif code == 3:
+        assert err.startswith("limit: ")

@@ -11,7 +11,6 @@ from treebed import (
     ColorMismatch,
     CubeId,
     InvalidParams,
-    LevelOrder,
     RationalBox,
     ResourceLimit,
     SeparationKind,
@@ -221,7 +220,7 @@ class TestSeparationVerdict:
             separation_verdict(p5, CubeId(0, 0, (0,)), CubeId(1, 1, (0,)))
 
     def test_level_order(self, p5):
-        with pytest.raises(LevelOrder):
+        with pytest.raises(ValueError, match=r"need low.k < high.k, got 1 >= 0"):
             separation_verdict(p5, CubeId(0, 1, (0,)), CubeId(0, 0, (0,)))
 
     def test_random_pairs_never_violate(self, p5):
@@ -253,7 +252,7 @@ def _reference_verdict(P, low, high):
     if low.c != high.c:
         raise ColorMismatch(f"colors {low.c} vs {high.c}")
     if low.k >= high.k:
-        raise LevelOrder(f"need low.k < high.k, got {low.k} >= {high.k}")
+        raise ValueError(f"need low.k < high.k, got {low.k} >= {high.k}")
     outer, inner = realize(P, low), realize(P, high)
     bound = F(1, P.p) ** (high.k + 1)
     gap_sq = box_gap_sq(outer, inner)

@@ -16,7 +16,6 @@ from treebed import (
     CoveringReport,
     CubeId,
     DistortionReport,
-    EdgeSet,
     EmbeddedPoint,
     HoroPoint,
     Params,
@@ -25,7 +24,6 @@ from treebed import (
     SamplePlan,
     SeparationKind,
     SeparationVerdict,
-    brute_force_edges,
     embed,
     validate_params,
     verify_covering_level0,
@@ -55,9 +53,6 @@ RECORDS = [
     (embed(P, Z),
      "EmbeddedPoint(images=(CubeId(c=0, k=1, gamma=(6,)), "
      "CubeId(c=1, k=1, gamma=(5,))), source=HoroPoint(t=0.5, x=(1.5,)))"),
-    (brute_force_edges(P, 0, 0, 1, 0),
-     "EdgeSet(vertices=(CubeId(c=0, k=0, gamma=(0,)), CubeId(c=0, k=1, gamma=(0,))), "
-     "edges=frozenset({(CubeId(c=0, k=0, gamma=(0,)), CubeId(c=0, k=1, gamma=(0,)))}))"),
     (PLAN.region, "Region(t_min=-1.0, t_max=1.0, x_radius=2.0)"),
     (PLAN,
      "SamplePlan(region=Region(t_min=-1.0, t_max=1.0, x_radius=2.0), count=3, "
@@ -79,7 +74,7 @@ def test_every_public_record_is_covered():
     types = {type(r) for r, _ in RECORDS}
     assert types == {
         Params, RationalBox, CubeId, SeparationVerdict, CoveringReport, HoroPoint,
-        EmbeddedPoint, EdgeSet, Region, SamplePlan, PairSample, DistortionReport,
+        EmbeddedPoint, Region, SamplePlan, PairSample, DistortionReport,
     }
 
 

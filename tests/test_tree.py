@@ -323,18 +323,18 @@ def _bfs(adj, src):
 
 class TestBruteForceEdges:
     def test_window_0_1(self, p5):
-        es = brute_force_edges(p5, 0, 0, 1, 5)
-        assert (CubeId(0, 0, (0,)), CubeId(0, 1, (0,))) in es.edges
+        _, edges = brute_force_edges(p5, 0, 0, 1, 5)
+        assert (CubeId(0, 0, (0,)), CubeId(0, 1, (0,))) in edges
         # (0,1,3) has no level-0 parent: its true parent is below the window
-        assert not any(CubeId(0, 1, (3,)) in e for e in es.edges)
+        assert not any(CubeId(0, 1, (3,)) in e for e in edges)
 
     def test_empty_window(self, p5):
-        es = brute_force_edges(p5, 0, 2, 1, 5)
-        assert es.vertices == () and es.edges == frozenset()
+        vertices, edges = brute_force_edges(p5, 0, 2, 1, 5)
+        assert vertices == () and edges == frozenset()
 
     def test_forest_count(self, p5):
-        es = brute_force_edges(p5, 0, -2, 1, 5)
-        parent_uf = {v: v for v in es.vertices}
+        vertices, edges = brute_force_edges(p5, 0, -2, 1, 5)
+        parent_uf = {v: v for v in vertices}
 
         def find(v):
             while parent_uf[v] != v:
@@ -342,23 +342,23 @@ class TestBruteForceEdges:
                 v = parent_uf[v]
             return v
 
-        for a, b in es.edges:
+        for a, b in edges:
             ra, rb = find(a), find(b)
             assert ra != rb  # acyclic: no edge joins an existing component
             parent_uf[ra] = rb
-        comps = {find(v) for v in es.vertices}
-        assert len(es.edges) == len(es.vertices) - len(comps)
+        comps = {find(v) for v in vertices}
+        assert len(edges) == len(vertices) - len(comps)
 
     def test_edges_match_parent(self, p5):
-        es = brute_force_edges(p5, 0, -1, 2, 8)
-        for a, b in es.edges:
+        _, edges = brute_force_edges(p5, 0, -1, 2, 8)
+        for a, b in edges:
             low, high = (a, b) if a.k < b.k else (b, a)
             assert parent(p5, high) == low
 
     def test_bfs_equals_tree_distance(self, p5):
-        es = brute_force_edges(p5, 0, -1, 2, 8)
-        adj = _adjacency(es.edges)
-        for v in es.vertices:
+        vertices, edges = brute_force_edges(p5, 0, -1, 2, 8)
+        adj = _adjacency(edges)
+        for v in vertices:
             dist = _bfs(adj, v)
             for w, d in dist.items():
                 if w.key() > v.key():

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import treebed.embedding
 from treebed import (
     CubeId,
-    DegenerateSample,
     HoroPoint,
     Region,
     SamplePlan,
@@ -78,6 +78,13 @@ class TestSamplePairs:
         with pytest.raises(ValueError):
             SamplePlan(Region(-1.0, 1.0, 10.0), 0, "uniform", 0)
 
+    @pytest.mark.parametrize("field", ["t_min", "t_max", "x_radius"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_region_fields_must_be_finite(self, field, value):
+        fields = {"t_min": -1.0, "t_max": 1.0, "x_radius": 10.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Region(**fields)
+
 
 class TestEvaluatePairs:
     def test_identical_pair(self, p5):
@@ -140,7 +147,7 @@ class TestEvaluatePairs:
             stability_probe(p5, small_plan(count=3), [1.0], level=cap)
 
     def test_empty(self, p5):
-        with pytest.raises(DegenerateSample):
+        with pytest.raises(ValueError, match="no pairs to evaluate"):
             evaluate_pairs(p5, [])
 
 
@@ -155,14 +162,18 @@ def report_from(values, n=1, p=5):
 
 
 def _scan_fit(samples, m_max):
-    """The envelope fit by a scan of every m in 0..m_max: the reference the
-    bisection in fit_qi_constants must reproduce bit for bit."""
+    """The envelope fit by a scan of every m from its floor to m_max: the
+    reference the bisection in fit_qi_constants must reproduce bit for bit.
+    The floor is ceil(d_hyp) over fitted pairs with d_tree = 0, capped at
+    m_max, as only m covers such a pair."""
     fitting = [s for s in samples if s.d_hyp >= MIN_FIT_DHYP]
     operands = [(s.d_tree, s.d_hyp) for s in fitting] + [
         (s.d_hyp, s.d_tree) for s in fitting if s.d_tree > 0
     ]
+    flat = [s.d_hyp for s in fitting if s.d_tree == 0]
+    m_min = min(m_max, math.ceil(max(flat))) if flat else 0
     best = None
-    for m in map(float, range(m_max + 1)):
+    for m in map(float, range(m_min, m_max + 1)):
         l = max(1.0, max([(a - m) / b for a, b in operands]))
         if best is None or (l, m) < best:
             best = (l, m)
@@ -193,8 +204,14 @@ class TestFit:
         # the 0.01 pair would force l=300 if it were fitted
         assert fitted.l == 2.0
 
+    def test_pairs_at_tree_distance_zero_set_m(self):
+        # Only m can cover d_hyp <= l*0 + m: the fit must not leave these
+        # pairs to count_violations, which checks both sides.
+        fitted = fit_qi_constants(report_from([(0.4, 0.0), (0.3, 0.0)]))
+        assert (fitted.l, fitted.m, fitted.violations) == (1.0, 1.0, 0)
+
     def test_degenerate(self):
-        with pytest.raises(DegenerateSample):
+        with pytest.raises(ValueError, match="every pair is below the fitting floor"):
             fit_qi_constants(report_from([(0.0, 0.0)]), m_max=0)
 
     @pytest.mark.parametrize("m_max, error", [(-1, ValueError), (1.5, TypeError)])
