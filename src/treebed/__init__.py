@@ -12,8 +12,6 @@ from .core import (
     Params,
     RationalBox,
     ResourceLimit,
-    boundary_margin,
-    box_gap_sq,
     validate_params,
 )
 from .cubes import (
@@ -41,7 +39,6 @@ from .hyperbolic import (
 )
 from .tree import (
     ancestor_chain,
-    brute_force_edges,
     export_subtree,
     parent,
     tree_distance,
@@ -67,8 +64,6 @@ __all__ = [
     "InvalidParams",
     "DimensionMismatch",
     "RationalBox",
-    "box_gap_sq",
-    "boundary_margin",
     "HoroPoint",
     "hyp_distance",
     "horo_distance",
@@ -87,7 +82,6 @@ __all__ = [
     "ancestor_chain",
     "tree_distance",
     "tree_path",
-    "brute_force_edges",
     "export_subtree",
     "EmbeddedPoint",
     "embed",

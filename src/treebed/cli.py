@@ -158,7 +158,8 @@ def _cmd_check_separation(P: Params, args) -> int:
         verdict = separation_verdict(P, low, high)
         counts[verdict.kind] += 1
         if verdict.kind is SeparationKind.VIOLATION and witness is None:
-            witness = {"low": low.key(), "high": high.key(), "witness": str(verdict.witness)}
+            w = verdict.gap_sq if verdict.margin is None else verdict.margin
+            witness = {"low": low.key(), "high": high.key(), "witness": str(w)}
     violations = counts[SeparationKind.VIOLATION]
     doc = {
         "samples": args.samples,

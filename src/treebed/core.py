@@ -1,8 +1,8 @@
-"""Exact construction parameters and rational box geometry.
+"""Exact construction parameters and rational boxes.
 
-Everything in this module is exact: parameters, boxes and the predicates on
-them use arbitrary-precision rationals. Floating point enters the picture
-only in :mod:`treebed.hyperbolic` (distances) and :mod:`treebed.verifier`
+Everything in this module is exact: parameters and boxes use
+arbitrary-precision rationals. Floating point enters the picture only in
+:mod:`treebed.hyperbolic` (distances) and :mod:`treebed.verifier`
 (statistics). Exactness matters because the separation bounds the cube
 patterns must satisfy are sharp; a predicate that is off by one ulp would
 misclassify boundary cases.
@@ -192,56 +192,3 @@ class RationalBox(Record):
                 raise ValueError(f"empty box: lo {a} > hi {b}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
-
-    @property
-    def center(self) -> RationalVec:
-        return tuple((lo + hi) / 2 for lo, hi in zip(self.lo, self.hi))
-
-    def contains_point(self, x: Sequence[Rational]) -> bool:
-        if len(x) != self.dim:
-            raise DimensionMismatch(f"point dim {len(x)} vs box dim {self.dim}")
-        return all(lo <= c <= hi for lo, c, hi in zip(self.lo, x, self.hi))
-
-    def contains_box(self, other: "RationalBox") -> bool:
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"box dims {other.dim} vs {self.dim}")
-        return all(
-            slo <= olo and ohi <= shi
-            for slo, shi, olo, ohi in zip(self.lo, self.hi, other.lo, other.hi)
-        )
-
-
-def box_gap_sq(b1: RationalBox, b2: RationalBox) -> Fraction:
-    """Exact squared Euclidean distance between two closed boxes.
-
-    Zero iff the boxes intersect. Symmetric, and non-increasing when either
-    box is enlarged.
-    """
-    if b1.dim != b2.dim:
-        raise DimensionMismatch(f"box dims {b1.dim} vs {b2.dim}")
-    total = Fraction(0)
-    for lo1, hi1, lo2, hi2 in zip(b1.lo, b1.hi, b2.lo, b2.hi):
-        g = max(lo2 - hi1, lo1 - hi2, Fraction(0))
-        total += g * g
-    return total
-
-
-def boundary_margin(outer: RationalBox, inner: RationalBox) -> Fraction | None:
-    """Distance from ``inner`` to the boundary of ``outer``, or None.
-
-    Returns the exact min-over-axes margin when inner is contained in outer
-    (for axis-aligned boxes this equals the Euclidean distance from inner to
-    the boundary of outer), and None when containment fails.
-    """
-    if outer.dim != inner.dim:
-        raise DimensionMismatch(f"box dims {outer.dim} vs {inner.dim}")
-    if not outer.contains_box(inner):
-        return None
-    return min(
-        min(ilo - olo, ohi - ihi)
-        for olo, ohi, ilo, ihi in zip(outer.lo, outer.hi, inner.lo, inner.hi)
-    )

@@ -41,8 +41,16 @@ class ColorMismatch(ValueError):
 
 
 def check_level(P: Params, k: int) -> None:
-    """Raise ResourceLimit for a level k with |k| > P.level_bound."""
+    """Raise ResourceLimit for a level k with |k| > P.level_bound.
+
+    A level of 19 or more digits is named by its sign and its digit count,
+    estimated from its bit length: str() of a huge integer is slow, and
+    refused past sys.get_int_max_str_digits().
+    """
     if abs(k) > P.level_bound:
+        if abs(k) >= 10**18:
+            digits = int(index(abs(k)).bit_length() * math.log10(2)) + 1
+            k = f"{'-' if k < 0 else '+'}(about {digits} digits)"
         raise ResourceLimit(
             f"level {k} is beyond the representable heights "
             f"|t| <= {P.level_bound:.1f} for p={P.p}"
@@ -155,10 +163,6 @@ class SeparationVerdict(Record):
         object.__setattr__(self, "gap_sq", gap_sq)
         object.__setattr__(self, "margin", margin)
 
-    @property
-    def witness(self) -> Fraction:
-        return self.margin if self.margin is not None else self.gap_sq
-
 
 def separation_verdict(P: Params, low: CubeId, high: CubeId) -> SeparationVerdict:
     """Exact separation check for a same-color pair with low.k < high.k.
@@ -173,9 +177,8 @@ def separation_verdict(P: Params, low: CubeId, high: CubeId) -> SeparationVerdic
     [g'D + C, g'D + C + W], with s = p^(high.k - low.k), C = P.C[c] and
     W = P.W, after the common offset p*p^k is dropped. The bound p^-(k+1)
     is D/p of these units at every level, so both tests are integer
-    comparisons and the only Fraction built is the returned witness.
-    ``realize`` with ``box_gap_sq`` and ``boundary_margin`` is the reference
-    this is tested against.
+    comparisons and the only Fraction built is the returned gap or margin.
+    The tests hold it to the realized boxes' exact gap and margin.
     """
     if low.c != high.c:
         raise ColorMismatch(f"colors {low.c} vs {high.c}")

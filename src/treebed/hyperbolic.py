@@ -42,7 +42,9 @@ def hyp_distance(P: Params, z: HoroPoint, zp: HoroPoint) -> float:
     integration in the test suite. Evaluated via log1p/sqrt so nearby points
     do not lose precision to acosh near 1. Where u*(u+2) overflows, though u
     is finite, acosh(1+u) = ln(2u) to within O(1/u), below one ulp there.
-    An intermediate term beyond the double range raises ResourceLimit.
+    For equal x the horizontal term is skipped, as it adds 0 whatever the
+    heights. An intermediate term beyond the double range raises
+    ResourceLimit.
     """
     _check_dim(P, z)
     _check_dim(P, zp)
@@ -50,9 +52,9 @@ def hyp_distance(P: Params, z: HoroPoint, zp: HoroPoint) -> float:
     dt = z.t - zp.t
     try:
         r2 = math.fsum((a - b) ** 2 for a, b in zip(z.x, zp.x))
-        u = 2.0 * math.sinh(0.5 * s * dt) ** 2 + 0.5 * s * s * math.exp(
-            s * (z.t + zp.t)
-        ) * r2
+        u = 2.0 * math.sinh(0.5 * s * dt) ** 2
+        if r2:
+            u += 0.5 * s * s * math.exp(s * (z.t + zp.t)) * r2
     except OverflowError:
         u = math.inf
     if not math.isfinite(u):

@@ -3,8 +3,7 @@
 Vertices are cube identities; the parent of a vertex is the unique cube at
 the nearest lower level whose box contains it, and every edge joins a vertex
 to its parent with unit length. Nothing is materialized: parents are
-computed on demand, and a windowed brute-force edge enumeration doubles as
-the oracle for the lazy traversals.
+computed on demand.
 
 The edge relation fixes the reading of "nearest": the parent sits at the
 maximal level k' < k whose pattern contains the cube. Only this reading
@@ -18,9 +17,8 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import product
 
-from .core import Params, RationalBox
+from .core import Params
 from .cubes import ColorMismatch, CubeId, ResourceLimit, _check_id, realize
 
 
@@ -68,9 +66,9 @@ def ancestor_chain(P: Params, cid: CubeId, floor_level: int) -> list[CubeId]:
 def _meet(P: Params, u: CubeId, v: CubeId) -> tuple[int, int]:
     """The level where the walks from u and from v meet, and their hop total.
 
-    Always advances the endpoint at the higher level (u on a tie) by the
-    inlined hop of ancestor_chain, counting hops and keeping no walked cube.
-    Neither walk can pass the meet: it lies on both chains and the walk only
+    Always advances the endpoint at the higher level by the inlined hop of
+    ancestor_chain, counting hops and keeping no walked cube; on a tie either
+    may go, as both must move. Neither walk can pass the meet: it lies on both chains and the walk only
     advances strictly above it. Both ids are checked before the walk, which
     would otherwise reach a lower endpoint's level before checking it.
     """
@@ -82,28 +80,20 @@ def _meet(P: Params, u: CubeId, v: CubeId) -> tuple[int, int]:
     ka, a, kb, b = u.k, list(u.gamma), v.k, list(v.gamma)
     hops = 0
     while ka != kb or a != b:
-        up_u = ka >= kb
-        if up_u:
-            k, tip = ka, a
-        else:
-            k, tip = kb, b
-        gamma, j = tip, k
+        if ka < kb:
+            ka, a, kb, b = kb, b, ka, a
         while True:
-            j -= 1
+            ka -= 1
             cells, inside = [], True
-            for g in gamma:
+            for g in a:
                 g += lift
                 q = g // p
                 cells.append(q)
                 if not 1 <= g - q * p <= top:
                     inside = False
-            gamma = cells
+            a = cells
             if inside:
                 break
-        if up_u:
-            ka, a = j, gamma
-        else:
-            kb, b = j, gamma
         hops += 1
     return ka, hops
 
@@ -118,76 +108,6 @@ def tree_path(P: Params, u: CubeId, v: CubeId) -> list[CubeId]:
     k = _meet(P, u, v)[0]
     down = ancestor_chain(P, v, k)[-2::-1]
     return ancestor_chain(P, u, k) + down
-
-
-def _level_contains_box(
-    P: Params, c: int, j: int, box: RationalBox, gamma_range: range
-) -> bool:
-    """Does any level-j cube with per-axis gamma in range contain box?
-
-    Pure enumeration per axis (the pattern is an axis product), used by the
-    oracle instead of the candidate arithmetic of the lazy parent.
-    """
-    slabs = [P.slab(c, j, g) for g in gamma_range]
-    for lo, hi in zip(box.lo, box.hi):
-        if not any(slo <= lo and hi <= shi for slo, shi in slabs):
-            return False
-    return True
-
-
-# Largest window brute_force_edges enumerates; its pair scan is quadratic.
-_VERTEX_BUDGET = 200_000
-
-
-def brute_force_edges(
-    P: Params,
-    c: int,
-    k_min: int,
-    k_max: int,
-    gamma_bound: int,
-) -> tuple[tuple[CubeId, ...], frozenset[tuple[CubeId, CubeId]]]:
-    """Direct transcription of the edge definition over a finite window.
-
-    Vertices are all cubes of color c with level in [k_min, k_max] and
-    |gamma_i| <= gamma_bound. A pair (v at k, v' at k' < k) is an edge iff
-    v' contains v and no level strictly between them contains v; the
-    intermediate scan enumerates lattice points two beyond the window bound,
-    which is exhaustive because a containing cube must contain v's center.
-    Test oracle only; quadratic in the window size.
-    """
-    if k_min > k_max:
-        return (), frozenset()
-    levels = list(range(k_min, k_max + 1))
-    per_level = (2 * gamma_bound + 1) ** P.n
-    if per_level * len(levels) > _VERTEX_BUDGET:
-        raise ResourceLimit(
-            f"window holds {per_level * len(levels)} vertices; "
-            f"budget is {_VERTEX_BUDGET}"
-        )
-    axis = range(-gamma_bound, gamma_bound + 1)
-    verts = [
-        CubeId(c, k, g) for k in levels for g in product(axis, repeat=P.n)
-    ]
-    boxes = {v: realize(P, v) for v in verts}
-    by_level = {k: [v for v in verts if v.k == k] for k in levels}
-    scan = range(-gamma_bound - 2, gamma_bound + 3)
-    edges = set()
-    for k in levels:
-        for kp in levels:
-            if kp >= k:
-                continue
-            for v in by_level[k]:
-                bv = boxes[v]
-                for vp in by_level[kp]:
-                    if not boxes[vp].contains_box(bv):
-                        continue
-                    if any(
-                        _level_contains_box(P, c, j, bv, scan)
-                        for j in range(kp + 1, k)
-                    ):
-                        continue
-                    edges.add((vp, v))
-    return tuple(verts), frozenset(edges)
 
 
 def _steiner_span(

@@ -42,14 +42,16 @@ class Region(Record):
             raise ValueError(f"t_min {t_min} > t_max {t_max}")
         if x_radius <= 0:
             raise ValueError(f"x_radius must be positive, got {x_radius}")
+        # Sampling draws from spans t_max - t_min and 2 * x_radius.
+        if math.isinf(t_max - t_min):
+            raise ValueError(
+                f"span t_max - t_min of [{t_min}, {t_max}] is beyond the double range"
+            )
+        if math.isinf(2.0 * x_radius):
+            raise ValueError(f"x_radius {x_radius} is beyond half the double range")
         object.__setattr__(self, "t_min", t_min)
         object.__setattr__(self, "t_max", t_max)
         object.__setattr__(self, "x_radius", x_radius)
-
-    def scaled(self, factor: float) -> "Region":
-        return Region(
-            self.t_min * factor, self.t_max * factor, self.x_radius * factor
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -353,10 +355,10 @@ def stability_probe(
     _check_m_max(m_max)
     if list(scales) != sorted(scales):
         raise ValueError(f"scales must be increasing, got {scales!r}")
-    fits = []
+    fits, r = [], base_plan.region
     for i, s in enumerate(scales):
         plan = SamplePlan(
-            region=base_plan.region.scaled(s),
+            region=Region(r.t_min * s, r.t_max * s, r.x_radius * s),
             count=base_plan.count,
             strategy=base_plan.strategy,
             seed=base_plan.seed + i,

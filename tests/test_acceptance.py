@@ -20,7 +20,6 @@ from treebed import (
     Region,
     SamplePlan,
     SeparationKind,
-    brute_force_edges,
     count_violations,
     evaluate_pairs,
     fit_qi_constants,
@@ -35,6 +34,7 @@ from treebed import (
 )
 from treebed.cli import main as cli_main
 
+from reference import brute_force_edges
 from test_hyperbolic import geodesic_oracle
 
 

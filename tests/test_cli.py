@@ -10,7 +10,16 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treebed import (
+    CubeId,
+    SeparationKind,
+    cli,
+    separation_verdict,
+    validate_params,
+)
 from treebed.cli import main
+
+from test_cubes import _planted
 
 
 def run(capsys, *argv):
@@ -50,6 +59,25 @@ class TestChecks:
         assert err.startswith("limit:")
         assert f"({sys.get_int_max_str_digits()} digits)" in err
 
+    def test_check_separation_reports_a_planted_violation(self, capsys, monkeypatch):
+        # No accepted (n, p) has a violation: widen the slab by one unit of
+        # 1/D, and the check fails with the first violating pair as witness.
+        planted = _planted(validate_params(1, 5))
+        monkeypatch.setattr(cli, "validate_params", lambda n, p: planted)
+        code, out, _ = run(
+            capsys, "check-separation", "--n", "1", "--p", "5", "--samples", "200",
+            "--level-min", "0", "--level-max", "1", "--gamma-bound", "2", "--json",
+        )
+        doc = json.loads(out)
+        assert code == 1 and doc["violations"] > 0
+        w = doc["witness"]
+        low = CubeId(w["low"][0], w["low"][1], tuple(w["low"][2]))
+        high = CubeId(w["high"][0], w["high"][1], tuple(w["high"][2]))
+        verdict = separation_verdict(planted, low, high)
+        assert verdict.kind is SeparationKind.VIOLATION
+        want = verdict.gap_sq if verdict.margin is None else verdict.margin
+        assert w["witness"] == str(want)
+
     def test_check_separation(self, capsys):
         code, out, _ = run(
             capsys, "check-separation", "--n", "1", "--p", "5",
@@ -85,6 +113,13 @@ class TestQueries:
             {"c": 0, "k": 0, "gamma": [0]},
             {"c": 1, "k": 0, "gamma": [-1]},
         ]
+
+    def test_level_limit_names_a_huge_level_briefly(self, capsys):
+        # round(1e308) has 309 digits; the message gives their count.
+        code, out, err = run(capsys, "embed", "--n", "1", "--p", "5", "--point=1e308,0")
+        assert (code, out) == (3, "")
+        assert err.startswith("limit: level") and len(err.splitlines()[0]) < 120
+        assert err.count("\n") == 1
 
     def test_distance(self, capsys):
         code, out, _ = run(
@@ -358,6 +393,12 @@ class TestVerify:
         # covers them, so the check finds no violation.
         (["verify", "--n", "2", "--p", "7", "--samples", "3", "--seed", "7",
           "--region=-23,-22,30"], 0),
+        # Equal x: e^(sigma(t+t')) overflows, but it multiplies ||x-x'||^2 = 0.
+        (["distance", "--z=220.5,0", "--w=220.5,0"], 0),
+        (["verify", "--samples", "5", "--strategy", "vertical", "--region=400,440,1"], 0),
+        # A region whose span overflows names the field, not a sampled point.
+        (["verify", "--samples", "5", "--region=0,1,1e308"], 2),
+        (["verify", "--samples", "5", "--region=-1e308,1e308,1"], 2),
     ],
 )
 def test_out_of_domain_input_exits_promptly(argv, code):

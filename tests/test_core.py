@@ -7,10 +7,10 @@ from treebed import (
     DimensionMismatch,
     InvalidParams,
     RationalBox,
-    boundary_margin,
-    box_gap_sq,
     validate_params,
 )
+
+from reference import boundary_margin, box_gap_sq
 
 
 def box(*pairs):

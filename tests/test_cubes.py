@@ -11,12 +11,11 @@ from treebed import (
     ColorMismatch,
     CubeId,
     InvalidParams,
+    Params,
     RationalBox,
     ResourceLimit,
     SeparationKind,
     SeparationVerdict,
-    boundary_margin,
-    box_gap_sq,
     locate,
     nearest_in_level,
     realize,
@@ -25,6 +24,8 @@ from treebed import (
     validate_params,
     verify_covering_level0,
 )
+
+from reference import boundary_margin, box_gap_sq, center, contains_point
 
 
 class TestRealize:
@@ -90,10 +91,10 @@ def test_locate_realize_roundtrip(cid, coerce):
         box = realize(P, cube)
         after = realize(P, CubeId(cube.c, cube.k, tuple(g + 1 for g in cube.gamma)))
         gap_mid = tuple((hi + lo) / 2 for hi, lo in zip(box.hi, after.lo))
-        assert locate(P, cube.c, cube.k, tuple(map(coerce, box.center))) == cube
+        assert locate(P, cube.c, cube.k, tuple(map(coerce, center(box)))) == cube
         for x in (box.lo, box.hi, gap_mid):
             xs = tuple(map(coerce, x))
-            want = cube if box.contains_point(tuple(map(F, xs))) else None
+            want = cube if contains_point(box, tuple(map(F, xs))) else None
             assert locate(P, cube.c, cube.k, xs) == want
         xs = tuple(map(coerce, gap_mid))
         gamma = tuple(g + (F(v) > m) for g, v, m in zip(cube.gamma, xs, gap_mid))
@@ -187,6 +188,16 @@ def test_query_checks_color_and_level(p5, query, c, k, error):
     # shift, c = 5 would index past it, and p**k at k = 2e6 takes a second.
     with pytest.raises(error):
         query(p5, c, k, (0.3,))
+
+
+def test_level_past_the_print_limit_is_a_resource_limit(p5):
+    # 5,001 digits: more than str() converts, so the message gives the count.
+    with pytest.raises(ResourceLimit, match=r"level \+\(about 5001 digits\)"):
+        tree_distance(p5, CubeId(0, 10**5000, (0,)), CubeId(0, 0, (0,)))
+    with pytest.raises(ResourceLimit, match=r"level \+\(about 5001 digits\)"):
+        nearest_in_level(p5, 0, 10**5000, (0.5,))
+    with pytest.raises(ResourceLimit, match="level -999999999999999999 "):
+        nearest_in_level(p5, 0, -(10**18 - 1), (0.5,))
 
 
 def test_fractional_color_is_named(p5):
@@ -327,6 +338,36 @@ def test_separation_verdict_matches_box_reference(case):
     assert _outcome(separation_verdict, P, low, high) == _outcome(
         _reference_verdict, P, low, high
     )
+
+
+def _planted(P):
+    """P with the slab one unit of 1/D wider, so that nearby cubes of
+    different levels overlap or come closer than the separation bound."""
+    return Params(P.n, P.p, P.m, P.D, P.C, P.W + 1, P.level_bound, P.sigma)
+
+
+@pytest.mark.parametrize("n,p", [(1, 5), (2, 7)])
+def test_planted_violations_match_box_reference(n, p):
+    # No accepted (n, p) has a violation, so only a planted pattern reaches
+    # the verdict's two VIOLATION branches: a gap below the bound, and an
+    # overlap without containment. The higher cube is drawn under the lower
+    # one's footprint or at its edges.
+    P = _planted(validate_params(n, p))
+    rng = random.Random(24)
+    kinds = set()
+    for _ in range(3000):
+        k_low = rng.randint(-3, 3)
+        k_high = k_low + rng.randint(1, 2)
+        c, s = rng.randint(0, P.n), P.p ** (k_high - k_low)
+        low = [rng.randint(-P.p**3, P.p**3) for _ in range(P.n)]
+        offsets = [rng.randint(0, s - 1), -1, 0, 1, s - 2, s - 1, s]
+        high = [s * g + rng.choice(offsets) for g in low]
+        low, high = CubeId(c, k_low, tuple(low)), CubeId(c, k_high, tuple(high))
+        got = separation_verdict(P, low, high)
+        assert got == _reference_verdict(P, low, high)
+        if got.kind is SeparationKind.VIOLATION:
+            kinds.add("gap" if got.gap_sq else "overlap" if got.margin is None else "margin")
+    assert {"gap", "overlap"} <= kinds
 
 
 def _accepted_params(n_max, p_max):

@@ -120,6 +120,14 @@ class TestHypDistance:
         with pytest.raises(ResourceLimit, match="distance overflow"):
             hyp_distance(p5, HoroPoint(0.0, (1e300,)), HoroPoint(0.0, (-1e300,)))
 
+    def test_vertical_pairs_far_up_and_down(self, p5):
+        # Equal x: e^(sigma(t+t')) would overflow above t of about 220, but
+        # it multiplies ||x-x'||^2 = 0, so the distance is the height gap.
+        for t in (440.0, -440.0):
+            for dt in (0.0, 0.5, 7.0, 40.0):
+                d = hyp_distance(p5, HoroPoint(t, (0.3,)), HoroPoint(t - dt, (0.3,)))
+                assert d == pytest.approx(dt, rel=1e-12, abs=1e-12)
+
     @pytest.mark.parametrize("params", ["p5", "p7"])
     def test_huge_u_against_decimal_reference(self, params, request):
         # u from 1e150 up to about DBL_MAX, where u*(u+2) overflows from

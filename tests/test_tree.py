@@ -14,7 +14,6 @@ from treebed import (
     CubeId,
     InvalidParams,
     ancestor_chain,
-    brute_force_edges,
     export_subtree,
     parent,
     realize,
@@ -23,6 +22,8 @@ from treebed import (
     validate_params,
 )
 
+from reference import brute_force_edges, center, contains_box
+
 
 def parent_oracle(P, cid, depth=8, bound=60):
     """Exhaustive containment scan over levels and lattice points."""
@@ -30,7 +31,7 @@ def parent_oracle(P, cid, depth=8, bound=60):
     for j in range(cid.k - 1, cid.k - 1 - depth, -1):
         for g in product(range(-bound, bound + 1), repeat=P.n):
             cand = CubeId(cid.c, j, g)
-            if realize(P, cand).contains_box(box):
+            if contains_box(realize(P, cand), box):
                 return cand
     return None
 
@@ -73,12 +74,12 @@ class TestParent:
             )
             got = parent(p7, cid)
             box = realize(p7, cid)
-            assert realize(p7, got).contains_box(box)
+            assert contains_box(realize(p7, got), box)
             # no containing cube strictly between
             for j in range(got.k + 1, cid.k):
                 for g1 in range(-15, 16):
                     for g2 in range(-15, 16):
-                        assert not realize(p7, CubeId(cid.c, j, (g1, g2))).contains_box(box)
+                        assert not contains_box(realize(p7, CubeId(cid.c, j, (g1, g2))), box)
 
     def test_level_strictly_decreases(self, p5):
         import random
@@ -102,10 +103,10 @@ class TestParent:
             )
             got = parent(p5, cid)
             box = realize(p5, cid)
-            assert realize(p5, got).contains_box(box)
+            assert contains_box(realize(p5, got), box)
             for j in range(got.k + 1, cid.k):
-                hit = locate(p5, cid.c, j, box.center)
-                assert hit is None or not realize(p5, hit).contains_box(box)
+                hit = locate(p5, cid.c, j, center(box))
+                assert hit is None or not contains_box(realize(p5, hit), box)
 
 
 class TestAncestorChain:
@@ -264,9 +265,9 @@ class TestAncestorKernel:
             (k, (-1,)) for k in range(4, -4, -1)
         ]
         for a, b in zip(chain, chain[1:]):
-            assert realize(P, b).contains_box(realize(P, a))
+            assert contains_box(realize(P, b), realize(P, a))
             assert parent_oracle(P, a) == b
-        assert not realize(P, CubeId(1, 5, (-2,))).contains_box(realize(P, tip))
+        assert not contains_box(realize(P, CubeId(1, 5, (-2,))), realize(P, tip))
         assert tree_distance(P, CubeId(1, -2, (5,)), tip) == 12
 
     @given(st.sampled_from([5, 6, 8]), _cube1, _cube1)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from treebed import (
     hyp_distance,
     sample_pairs,
     stability_probe,
+    validate_params,
     vertical_bound_check,
 )
 from treebed.verifier import (
@@ -70,6 +72,22 @@ class TestSamplePairs:
         for z, zp in sample_pairs(p5, small_plan("near_pairs")):
             assert hyp_distance(p5, z, zp) <= 2.0
 
+    def test_near_pairs_halves_offsets_until_inside(self, monkeypatch):
+        # At (3,9) a few first offsets of the default region land beyond
+        # distance 2, so the halving loop runs: more distances than pairs.
+        P = validate_params(3, 9)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return hyp_distance(*args)
+
+        monkeypatch.setattr(treebed.verifier, "hyp_distance", counted)
+        plan = SamplePlan(default_region(P), 2000, "near_pairs", 1)
+        pairs = sample_pairs(P, plan)
+        assert len(calls) > len(pairs)
+        assert all(hyp_distance(P, z, zp) <= 2.0 for z, zp in pairs)
+
     def test_bad_plan(self):
         with pytest.raises(ValueError):
             SamplePlan(Region(-1.0, 1.0, 10.0), 5, "bogus", 0)
@@ -84,6 +102,20 @@ class TestSamplePairs:
         fields = {"t_min": -1.0, "t_max": 1.0, "x_radius": 10.0, field: value}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             Region(**fields)
+
+    @pytest.mark.parametrize(
+        "fields,name",
+        [((-1e308, 1e308, 1.0), "t_max - t_min"), ((0.0, 1.0, 1e308), "x_radius")],
+    )
+    def test_region_spans_must_be_finite(self, fields, name):
+        # Sampling draws over t_max - t_min and 2 * x_radius.
+        with pytest.raises(ValueError, match=re.escape(name)):
+            Region(*fields)
+
+    def test_widest_region_samples_finite_points(self, p5):
+        plan = SamplePlan(Region(-8e307, 8e307, 8e307), 20, "uniform", 0)
+        for z, zp in sample_pairs(p5, plan):
+            assert all(map(math.isfinite, (z.t, zp.t, *z.x, *zp.x)))
 
 
 class TestEvaluatePairs:
@@ -288,6 +320,15 @@ class TestVerticalBoundCheck:
 
     def test_n2(self, p7):
         assert vertical_bound_check(p7, count=100, seed=6) == ()
+
+    def test_failure_records(self, p5, monkeypatch):
+        # Criterion 7's control: every image at level 0 breaks the bound.
+        monkeypatch.setattr(treebed.embedding, "embedding_level", lambda z: 0)
+        failures = vertical_bound_check(p5, count=200, seed=5)
+        assert len(failures) == 16
+        for f in failures:
+            assert set(f) == {"t", "tp", "x", "bound", "per_color"}
+            assert max(f["per_color"]) < f["bound"]
 
 
 class TestStabilityProbe:
