@@ -18,6 +18,7 @@ from .cubes import (
     SeparationKind,
     check_level,
     covering_grid,
+    level_name,
     separation_verdict,
     verify_covering_level0,
 )
@@ -138,7 +139,8 @@ def _cmd_check_separation(P: Params, args) -> int:
         raise ValueError(f"--gamma-bound must be >= 0, got {args.gamma_bound}")
     if args.level_min >= args.level_max:
         raise ValueError(
-            f"need --level-min < --level-max, got {args.level_min} >= {args.level_max}"
+            f"need --level-min < --level-max, got {level_name(args.level_min)} "
+            f">= {level_name(args.level_max)}"
         )
     check_level(P, args.level_min)
     check_level(P, args.level_max)
@@ -181,17 +183,26 @@ def _cmd_verify(P: Params, args) -> int:
         strategy=args.strategy,
         seed=args.seed,
     )
-    report = evaluate_pairs(
-        P,
-        sample_pairs(P, plan),
-        norm=args.norm,
-        plan=plan,
-    )
-    fitted = fit_qi_constants(report)
-    _write(args, fitted.to_json())
+    rows = None
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(fitted.to_csv())
+        import tempfile
+
+        # Rows wait in an anonymous file until the fit and the report are
+        # written, so a run that stops early leaves no partial CSV.
+        rows = tempfile.TemporaryFile("w+", newline="")
+    try:
+        report = evaluate_pairs(
+            P, sample_pairs(P, plan), norm=args.norm, plan=plan, csv_file=rows
+        )
+        fitted = fit_qi_constants(report)
+        _write(args, fitted.to_json())
+        if rows is not None:
+            rows.seek(0)
+            with open(args.csv, "w") as fh:
+                fh.writelines(rows)
+    finally:
+        if rows is not None:
+            rows.close()
     print(
         f"fitted l={fitted.l} m={fitted.m} violations={fitted.violations} "
         f"runtime_ms={fitted.runtime_ms:.1f}",

@@ -40,19 +40,23 @@ class ColorMismatch(ValueError):
     """Operation mixed cubes of different colors."""
 
 
-def check_level(P: Params, k: int) -> None:
-    """Raise ResourceLimit for a level k with |k| > P.level_bound.
+def level_name(k: int) -> str:
+    """k for messages; from 19 digits on, its sign and its digit count.
 
-    A level of 19 or more digits is named by its sign and its digit count,
-    estimated from its bit length: str() of a huge integer is slow, and
-    refused past sys.get_int_max_str_digits().
+    The count is estimated from the bit length: str() of a huge integer is
+    slow, and refused past sys.get_int_max_str_digits().
     """
+    if abs(k) < 10**18:
+        return f"{k}"
+    digits = int(index(abs(k)).bit_length() * math.log10(2)) + 1
+    return f"{'-' if k < 0 else '+'}(about {digits} digits)"
+
+
+def check_level(P: Params, k: int) -> None:
+    """Raise ResourceLimit for a level k with |k| > P.level_bound."""
     if abs(k) > P.level_bound:
-        if abs(k) >= 10**18:
-            digits = int(index(abs(k)).bit_length() * math.log10(2)) + 1
-            k = f"{'-' if k < 0 else '+'}(about {digits} digits)"
         raise ResourceLimit(
-            f"level {k} is beyond the representable heights "
+            f"level {level_name(k)} is beyond the representable heights "
             f"|t| <= {P.level_bound:.1f} for p={P.p}"
         )
 

@@ -11,13 +11,12 @@ does not drift as the sampled region grows.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import random
 import time
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from operator import index
 
 from .core import Params, Record, ResourceLimit
@@ -77,6 +76,11 @@ class SamplePlan(Record):
             raise ValueError(
                 f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
             )
+        if strategy == "vertical" and math.ceil(region.t_min) > region.t_max:
+            raise ValueError(
+                f"region t in [{region.t_min}, {region.t_max}] holds no integer "
+                "height for the vertical strategy"
+            )
         object.__setattr__(self, "region", region)
         object.__setattr__(self, "count", count)
         object.__setattr__(self, "strategy", strategy)
@@ -101,8 +105,8 @@ def _rand_point(P: Params, rng: random.Random, region: Region) -> HoroPoint:
 
 def sample_pairs(
     P: Params, plan: SamplePlan
-) -> list[tuple[HoroPoint, HoroPoint]]:
-    """Deterministic pair sample for a fixed seed.
+) -> Iterator[tuple[HoroPoint, HoroPoint]]:
+    """Deterministic pair sample for a fixed seed, drawn lazily in order.
 
     vertical: equal x, integer heights. same_horosphere: equal heights.
     near_pairs: hyperbolic distance at most 2 (offsets halved until inside).
@@ -111,25 +115,19 @@ def sample_pairs(
     region = plan.region
     k_lo = math.ceil(region.t_min)
     k_hi = math.floor(region.t_max)
-    if plan.strategy == "vertical" and k_lo > k_hi:
-        raise ValueError(
-            f"region t in [{region.t_min}, {region.t_max}] holds no integer "
-            "height for the vertical strategy"
-        )
-    pairs = []
     for _ in range(plan.count):
         if plan.strategy == "uniform":
-            pairs.append((_rand_point(P, rng, region), _rand_point(P, rng, region)))
+            yield _rand_point(P, rng, region), _rand_point(P, rng, region)
         elif plan.strategy == "same_horosphere":
             t = rng.uniform(region.t_min, region.t_max)
             a = _rand_point(P, rng, region)
             b = _rand_point(P, rng, region)
-            pairs.append((HoroPoint(t, a.x), HoroPoint(t, b.x)))
+            yield HoroPoint(t, a.x), HoroPoint(t, b.x)
         elif plan.strategy == "vertical":
             x = _rand_point(P, rng, region).x
             k1 = rng.randint(k_lo, k_hi)
             k2 = rng.randint(k_lo, k_hi)
-            pairs.append((HoroPoint(float(k1), x), HoroPoint(float(k2), x)))
+            yield HoroPoint(float(k1), x), HoroPoint(float(k2), x)
         else:  # near_pairs
             z = _rand_point(P, rng, region)
             dt = rng.uniform(-1.0, 1.0)
@@ -140,27 +138,13 @@ def sample_pairs(
                     f"near_pairs offset scale p^-t overflows at t={z.t}, p={P.p}"
                 ) from None
             dx = tuple(rng.uniform(-scale, scale) for _ in range(P.n))
-            zp = HoroPoint(z.t + dt, tuple(a + b for a, b in zip(z.x, dx)))
-            while hyp_distance(P, z, zp) > 2.0:
+            while True:
+                zp = HoroPoint(z.t + dt, tuple(a + b for a, b in zip(z.x, dx)))
+                if hyp_distance(P, z, zp) <= 2.0:
+                    break
                 dt *= 0.5
                 dx = tuple(c * 0.5 for c in dx)
-                zp = HoroPoint(z.t + dt, tuple(a + b for a, b in zip(z.x, dx)))
-            pairs.append((z, zp))
-    return pairs
-
-
-class PairSample(Record):
-    __slots__ = ("z", "zp", "d_hyp", "d_tree", "per_color")
-
-    def __init__(
-        self, z: HoroPoint, zp: HoroPoint, d_hyp: float, d_tree: float,
-        per_color: tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "zp", zp)
-        object.__setattr__(self, "d_hyp", d_hyp)
-        object.__setattr__(self, "d_tree", d_tree)
-        object.__setattr__(self, "per_color", per_color)
+            yield z, zp
 
 
 class DistortionReport(Record):
@@ -168,7 +152,7 @@ class DistortionReport(Record):
                  "runtime_ms")
 
     def __init__(
-        self, n: int, p: int, norm: str, samples: tuple[PairSample, ...],
+        self, n: int, p: int, norm: str, samples: tuple[tuple[float, float], ...],
         plan: SamplePlan | None = None, l: float | None = None,
         m: float | None = None, violations: int | None = None,
         runtime_ms: float | None = None,
@@ -199,44 +183,42 @@ class DistortionReport(Record):
         doc = self.to_json_dict()
         return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out)
-        xs = [f"x{i}" for i in range(self.n)]
-        xps = [f"xp{i}" for i in range(self.n)]
-        cs = [f"d_c{c}" for c in range(self.n + 1)]
-        w.writerow(["t"] + xs + ["tp"] + xps + ["d_hyp", "d_tree"] + cs)
-        for s in self.samples:
-            w.writerow(
-                [repr(s.z.t)]
-                + [repr(c) for c in s.z.x]
-                + [repr(s.zp.t)]
-                + [repr(c) for c in s.zp.x]
-                + [repr(s.d_hyp), repr(s.d_tree)]
-                + [str(d) for d in s.per_color]
-            )
-        return out.getvalue()
-
-
-def _eval_one(P: Params, pair: tuple[HoroPoint, HoroPoint], norm: str) -> PairSample:
-    z, zp = pair
-    per = per_color_distances(P, embed(P, z), embed(P, zp))
-    return PairSample(z, zp, hyp_distance(P, z, zp), product_norm(per, norm), per)
-
 
 def evaluate_pairs(
     P: Params,
-    pairs: Sequence[tuple[HoroPoint, HoroPoint]],
+    pairs: Iterable[tuple[HoroPoint, HoroPoint]],
     norm: str = "l1",
     plan: SamplePlan | None = None,
+    csv_file=None,
 ) -> DistortionReport:
-    """Measure every pair, in order; fit fields stay empty."""
-    if not pairs:
-        raise ValueError("no pairs to evaluate")
+    """Measure every pair, in order, keeping (d_hyp, d_tree); fit fields stay empty.
+
+    With csv_file, an open text file, a header and then one row per pair
+    (t, x.., tp, xp.., d_hyp, d_tree, d_c..) are written as the pairs are
+    measured.
+    """
     norm = norm.lower()
+    if csv_file is not None:
+        write_row = csv.writer(csv_file).writerow
+        xs = [f"x{i}" for i in range(P.n)]
+        xps = [f"xp{i}" for i in range(P.n)]
+        cs = [f"d_c{c}" for c in range(P.n + 1)]
+        write_row(["t", *xs, "tp", *xps, "d_hyp", "d_tree", *cs])
     start = time.perf_counter()
-    samples = [_eval_one(P, pr, norm) for pr in pairs]
+    samples = []
+    for z, zp in pairs:
+        per = per_color_distances(P, embed(P, z), embed(P, zp))
+        d_hyp = hyp_distance(P, z, zp)
+        d_tree = product_norm(per, norm)
+        samples.append((d_hyp, d_tree))
+        if csv_file is not None:
+            write_row(
+                [repr(z.t), *map(repr, z.x), repr(zp.t), *map(repr, zp.x),
+                 repr(d_hyp), repr(d_tree), *map(str, per)]
+            )
     runtime_ms = (time.perf_counter() - start) * 1000.0
+    if not samples:
+        raise ValueError("no pairs to evaluate")
     return DistortionReport(
         n=P.n,
         p=P.p,
@@ -247,16 +229,15 @@ def evaluate_pairs(
     )
 
 
-def count_violations(samples: Sequence[PairSample], l: float, m: float) -> int:
-    """Pairs (above the small-distance floor) breaking either envelope side,
-    beyond a tolerance of 1e-9."""
-    bad = 0
-    for s in samples:
-        if s.d_hyp < MIN_FIT_DHYP:
-            continue
-        if s.d_tree > l * s.d_hyp + m + 1e-9 or s.d_hyp > l * s.d_tree + m + 1e-9:
-            bad += 1
-    return bad
+def count_violations(
+    samples: Iterable[tuple[float, float]], l: float, m: float
+) -> int:
+    """(d_hyp, d_tree) pairs above the small-distance floor breaking either
+    envelope side, beyond a tolerance of 1e-9."""
+    return sum(
+        h >= MIN_FIT_DHYP and (t > l * h + m + 1e-9 or h > l * t + m + 1e-9)
+        for h, t in samples
+    )
 
 
 def _check_m_max(m_max: int) -> None:
@@ -287,19 +268,19 @@ def fit_qi_constants(report: DistortionReport, m_max: int = 50) -> DistortionRep
         ValueError: m_max is negative, or no pair reaches the fitting floor.
     """
     _check_m_max(m_max)
-    fitting = [s for s in report.samples if s.d_hyp >= MIN_FIT_DHYP]
+    fitting = [s for s in report.samples if s[0] >= MIN_FIT_DHYP]
     if not fitting:
         raise ValueError("every pair is below the fitting floor; nothing to fit")
-    # (a, b) operands of the slope bounds (a - m) / b, built once for all m.
-    operands = [(s.d_tree, s.d_hyp) for s in fitting] + [
-        (s.d_hyp, s.d_tree) for s in fitting if s.d_tree > 0
-    ]
 
     def slope(m: float) -> float:
-        return max(1.0, max([(a - m) / b for a, b in operands]))
+        return max(
+            1.0,
+            max([(t - m) / h for h, t in fitting]),
+            max([(h - m) / t for h, t in fitting if t > 0], default=1.0),
+        )
 
-    flat = [s.d_hyp for s in fitting if s.d_tree == 0]
-    m_min = min(m_max, math.ceil(max(flat, default=0.0)))
+    flat = max((h for h, t in fitting if t == 0), default=0.0)
+    m_min = min(m_max, math.ceil(flat))
     l = slope(float(m_max))
     m = float(
         bisect_left(range(m_max), True, m_min, key=lambda j: slope(float(j)) <= l)
@@ -323,17 +304,18 @@ def vertical_bound_check(P: Params, count: int, seed: int) -> tuple[dict, ...]:
     """
     plan = SamplePlan(default_region(P), count, "vertical", seed)
     failures = []
-    for s in evaluate_pairs(P, sample_pairs(P, plan)).samples:
-        dk = abs(embedding_level(s.z) - embedding_level(s.zp))
+    for z, zp in sample_pairs(P, plan):
+        per = per_color_distances(P, embed(P, z), embed(P, zp))
+        dk = abs(embedding_level(z) - embedding_level(zp))
         bound = (dk + 1) / (P.n + 1) - 1.0
-        if max(s.per_color) < bound - 1e-12:
+        if max(per) < bound - 1e-12:
             failures.append(
                 {
-                    "t": s.z.t,
-                    "tp": s.zp.t,
-                    "x": list(s.z.x),
+                    "t": z.t,
+                    "tp": zp.t,
+                    "x": list(z.x),
                     "bound": bound,
-                    "per_color": list(s.per_color),
+                    "per_color": list(per),
                 }
             )
     return tuple(failures[:16])

@@ -128,6 +128,26 @@ class TestQueries:
         assert code == 0
         assert float(out) == pytest.approx(1.0)
 
+    def test_distance_tiny_gap_far_up(self, capsys):
+        # ||x-x'||^2 = 1e-302, times e^(sigma*440): u is about 4e5.
+        code, out, _ = run(
+            capsys, "distance", "--n", "1", "--p", "5", "--z=220,0", "--w=220,1e-151"
+        )
+        assert code == 0
+        assert float(out) == pytest.approx(8.527048768780737, rel=1e-14)
+
+    def test_separation_levels_named_briefly(self, capsys):
+        # Each level is named as check_level names it: a 4,000-digit level
+        # by its sign and approximate digit count.
+        code, out, err = run(
+            capsys, "check-separation", "--n", "1", "--p", "5",
+            f"--level-min={'9' * 4000}", "--level-max=1",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: need --level-min < --level-max, got +(about 40")
+        assert err.endswith(" digits) >= 1\n") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
     def test_export_subtree_json(self, capsys):
         code, out, _ = run(
             capsys, "export-subtree", "--n", "1", "--p", "5",
@@ -269,6 +289,19 @@ class TestVerify:
         assert code == 0
         assert len(csv_file.read_text().splitlines()) == 51
 
+    def test_limit_mid_stream_leaves_no_csv(self, capsys, tmp_path):
+        # Two pairs are measured before a height of 443 passes the level
+        # bound: no report and no partial CSV are written.
+        csv_file, out_file = tmp_path / "pairs.csv", tmp_path / "r.json"
+        code, out, err = run(
+            capsys, "verify", "--n", "1", "--p", "5", "--samples", "20", "--seed", "2",
+            "--strategy", "vertical", "--region=430,446,1", "--csv", str(csv_file),
+            "--output", str(out_file),
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("limit: level 443 ")
+        assert not csv_file.exists() and not out_file.exists()
+
     def test_config_file_defaults_and_flag_override(self, capsys, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"n": 1, "p": 5, "samples": 60, "seed": 5}))
@@ -399,6 +432,12 @@ class TestVerify:
         # A region whose span overflows names the field, not a sampled point.
         (["verify", "--samples", "5", "--region=0,1,1e308"], 2),
         (["verify", "--samples", "5", "--region=-1e308,1e308,1"], 2),
+        # ||x-x'||^2 = 1e-302 still counts: e^(sigma*440) lifts it to u ~ 4e5.
+        (["distance", "--z=220,0", "--w=220,1e-151"], 0),
+        # A limit after two measured pairs; the CSV is written only at the end.
+        (["verify", "--samples", "20", "--seed", "2", "--strategy", "vertical",
+          "--region=430,446,1", "--csv", "/dev/null"], 3),
+        (["check-separation", f"--level-min={'9' * 4000}", "--level-max=1"], 2),
     ],
 )
 def test_out_of_domain_input_exits_promptly(argv, code):

@@ -151,6 +151,28 @@ class TestHypDistance:
             ref = _decimal_distance(P, z, zp)
             assert abs(hyp_distance(P, z, zp) - ref) <= 1e-14 * ref
 
+    def test_tiny_horizontal_gap_far_up(self, p5):
+        # Heights 200..225 and gaps of 1e-160..1e-136: ||x-x'||^2 is below
+        # 1e-300 in many rows, yet e^(sigma(t+t')) brings the horizontal term
+        # to u of 1e5 and more. Below that, rounding sigma*(t+t') alone moves
+        # the distance by more than the tolerance.
+        rng = random.Random(19)
+        s = p5.sigma
+        for i in range(300):
+            if i % 2:
+                # equal heights: only the horizontal term, u from 1e5 to 1e30
+                t = tp = rng.uniform(200.0, 220.25)
+                log_u = rng.uniform(math.log(1e5), math.log(1e30))
+                gap = math.exp((log_u - 2 * s * t - math.log(0.5 * s * s)) / 2)
+            else:
+                dt = rng.choice((-1, 1)) * rng.uniform(5.0, 9.0)
+                both = rng.uniform(400.0 + abs(dt), 440.5)
+                t, tp = (both + dt) / 2, (both - dt) / 2
+                gap = 10 ** rng.uniform(-160, -146)
+            z, zp = HoroPoint(t, (0.0,)), HoroPoint(tp, (gap,))
+            ref = _decimal_distance(p5, z, zp)
+            assert abs(hyp_distance(p5, z, zp) - ref) <= 1e-14 * ref
+
     def test_dimension_mismatch(self, p7):
         with pytest.raises(DimensionMismatch):
             hyp_distance(p7, HoroPoint(0.0, (0.0,)), HoroPoint(0.0, (0.0, 0.0)))

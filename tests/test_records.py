@@ -28,12 +28,10 @@ from treebed import (
     validate_params,
     verify_covering_level0,
 )
-from treebed.verifier import PairSample
 
 P = validate_params(1, 5)
 Z, ZP = HoroPoint(0.5, (1.5,)), HoroPoint(-1.0, (2.0,))
 PLAN = SamplePlan(Region(-1.0, 1.0, 2.0), 3, "uniform", 4)
-PAIR = PairSample(Z, ZP, 1.25, 2.0, (1, 1))
 
 # One record of each public type, and its repr in the format dataclasses print.
 RECORDS = [
@@ -57,15 +55,11 @@ RECORDS = [
     (PLAN,
      "SamplePlan(region=Region(t_min=-1.0, t_max=1.0, x_radius=2.0), count=3, "
      "strategy='uniform', seed=4)"),
-    (PAIR,
-     "PairSample(z=HoroPoint(t=0.5, x=(1.5,)), zp=HoroPoint(t=-1.0, x=(2.0,)), "
-     "d_hyp=1.25, d_tree=2.0, per_color=(1, 1))"),
-    (DistortionReport(1, 5, "l1", (PAIR,), PLAN, 1.0, 2.0, 0),
-     "DistortionReport(n=1, p=5, norm='l1', samples=(PairSample(z=HoroPoint(t=0.5, "
-     "x=(1.5,)), zp=HoroPoint(t=-1.0, x=(2.0,)), d_hyp=1.25, d_tree=2.0, "
-     "per_color=(1, 1)),), plan=SamplePlan(region=Region(t_min=-1.0, t_max=1.0, "
-     "x_radius=2.0), count=3, strategy='uniform', seed=4), l=1.0, m=2.0, "
-     "violations=0, runtime_ms=None)"),
+    (DistortionReport(1, 5, "l1", ((1.25, 2.0),), PLAN, 1.0, 2.0, 0),
+     "DistortionReport(n=1, p=5, norm='l1', samples=((1.25, 2.0),), "
+     "plan=SamplePlan(region=Region(t_min=-1.0, t_max=1.0, x_radius=2.0), "
+     "count=3, strategy='uniform', seed=4), l=1.0, m=2.0, violations=0, "
+     "runtime_ms=None)"),
 ]
 _ids = [type(r).__name__ for r, _ in RECORDS]
 
@@ -74,7 +68,7 @@ def test_every_public_record_is_covered():
     types = {type(r) for r, _ in RECORDS}
     assert types == {
         Params, RationalBox, CubeId, SeparationVerdict, CoveringReport, HoroPoint,
-        EmbeddedPoint, Region, SamplePlan, PairSample, DistortionReport,
+        EmbeddedPoint, Region, SamplePlan, DistortionReport,
     }
 
 
@@ -151,11 +145,12 @@ def test_copies_rerun_the_checks(bad):
 
 
 def test_import_loads_no_dataclasses():
-    # -S keeps site from importing typing before the package does.
+    # -S keeps site from importing typing before the package does. tempfile
+    # is imported only where verify writes per-pair rows.
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import treebed, treebed.cli; "
-        "loaded = {'dataclasses', 'inspect', 'typing'} & set(sys.modules); "
+        "loaded = {'dataclasses', 'inspect', 'typing', 'tempfile'} & set(sys.modules); "
         "assert not loaded, sorted(loaded)"
     )
     proc = subprocess.run(

@@ -2,6 +2,8 @@ import csv
 import io
 import math
 import re
+import tracemalloc
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from treebed import (
     evaluate_pairs,
     fit_qi_constants,
     hyp_distance,
+    per_color_distances,
     sample_pairs,
     stability_probe,
     validate_params,
@@ -25,7 +28,6 @@ from treebed import (
 from treebed.verifier import (
     MIN_FIT_DHYP,
     DistortionReport,
-    PairSample,
     default_region,
 )
 
@@ -37,11 +39,11 @@ def small_plan(strategy="uniform", count=50, seed=7):
 class TestSamplePairs:
     def test_deterministic(self, p5):
         plan = small_plan("vertical", count=10, seed=7)
-        assert sample_pairs(p5, plan) == sample_pairs(p5, plan)
+        assert list(sample_pairs(p5, plan)) == list(sample_pairs(p5, plan))
 
     def test_seed_matters(self, p5):
-        a = sample_pairs(p5, small_plan(seed=1))
-        b = sample_pairs(p5, small_plan(seed=2))
+        a = list(sample_pairs(p5, small_plan(seed=1)))
+        b = list(sample_pairs(p5, small_plan(seed=2)))
         assert a != b
 
     def test_vertical_contract(self, p5):
@@ -50,9 +52,9 @@ class TestSamplePairs:
             assert z.t == int(z.t) and zp.t == int(zp.t)
 
     def test_vertical_needs_an_integer_height(self, p5):
-        plan = SamplePlan(Region(0.2, 0.7, 5.0), 10, "vertical", 0)
+        # The plan is refused when it is built, before any draw.
         with pytest.raises(ValueError, match="no integer height"):
-            sample_pairs(p5, plan)
+            SamplePlan(Region(0.2, 0.7, 5.0), 10, "vertical", 0)
         # a single integer height is enough
         pairs = sample_pairs(p5, SamplePlan(Region(0.2, 1.0, 5.0), 10, "vertical", 0))
         assert all(z.t == zp.t == 1.0 for z, zp in pairs)
@@ -84,7 +86,7 @@ class TestSamplePairs:
 
         monkeypatch.setattr(treebed.verifier, "hyp_distance", counted)
         plan = SamplePlan(default_region(P), 2000, "near_pairs", 1)
-        pairs = sample_pairs(P, plan)
+        pairs = list(sample_pairs(P, plan))
         assert len(calls) > len(pairs)
         assert all(hyp_distance(P, z, zp) <= 2.0 for z, zp in pairs)
 
@@ -117,13 +119,18 @@ class TestSamplePairs:
         for z, zp in sample_pairs(p5, plan):
             assert all(map(math.isfinite, (z.t, zp.t, *z.x, *zp.x)))
 
+    def test_draws_lazily(self, p5):
+        pairs = sample_pairs(p5, small_plan(count=3))
+        assert isinstance(pairs, Iterator)
+        first = next(pairs)
+        assert [first, *pairs] == list(sample_pairs(p5, small_plan(count=3)))
+
 
 class TestEvaluatePairs:
     def test_identical_pair(self, p5):
         z = HoroPoint(0.0, (0.4,))
         rep = evaluate_pairs(p5, [(z, z)])
-        assert rep.samples[0].d_hyp == 0.0
-        assert rep.samples[0].d_tree == 0.0
+        assert rep.samples == ((0.0, 0.0),)
 
     def test_vertical_eta0_pair(self, p5):
         # eta0 sits in nested cubes at every level: the images form a
@@ -131,9 +138,10 @@ class TestEvaluatePairs:
         # (dk+1)/(n+1) - 1 = 2 is met with room
         z = HoroPoint(0.0, (0.25,))
         zp = HoroPoint(5.0, (0.25,))
-        rep = evaluate_pairs(p5, [(z, zp)])
-        assert rep.samples[0].per_color == (5, 5)
-        assert all(d >= 2 for d in rep.samples[0].per_color)
+        per = per_color_distances(p5, embed(p5, z), embed(p5, zp))
+        assert per == (5, 5)
+        assert all(d >= 2 for d in per)
+        assert evaluate_pairs(p5, [(z, zp)]).samples[0][1] == 10
 
     def test_one_period_separation(self, p5):
         # shifting x by one pattern period moves every color's image
@@ -144,15 +152,15 @@ class TestEvaluatePairs:
         e1, e2 = embed(p5, z), embed(p5, zp)
         assert all(u != v for u, v in zip(e1.images, e2.images))
         rep = evaluate_pairs(p5, [(z, zp)])
-        assert max(rep.samples[0].per_color) >= 1
+        assert rep.samples[0][1] >= 1  # the sum of the per-color distances
 
     def test_norms(self, p5):
-        pairs = sample_pairs(p5, small_plan(count=20))
+        pairs = list(sample_pairs(p5, small_plan(count=20)))
         l1 = evaluate_pairs(p5, pairs, norm="l1")
         linf = evaluate_pairs(p5, pairs, norm="linf")
         l2 = evaluate_pairs(p5, pairs, norm="l2")
         for a, b, c in zip(linf.samples, l2.samples, l1.samples):
-            assert a.d_tree <= b.d_tree <= c.d_tree
+            assert a[1] <= b[1] <= c[1]
 
     def test_unknown_norm(self, p5):
         pairs = sample_pairs(p5, small_plan(count=3))
@@ -182,14 +190,28 @@ class TestEvaluatePairs:
         with pytest.raises(ValueError, match="no pairs to evaluate"):
             evaluate_pairs(p5, [])
 
+    def test_one_shot_generator(self, p5):
+        plan = small_plan(count=30, seed=4)
+        listed = evaluate_pairs(p5, list(sample_pairs(p5, plan)))
+        streamed = evaluate_pairs(p5, (pair for pair in sample_pairs(p5, plan)))
+        assert streamed.samples == listed.samples and len(listed.samples) == 30
+
+    def test_memory_per_pair(self, p7):
+        # Only (d_hyp, d_tree) stays per pair, about 165 B in all; keeping
+        # each pair's two points as well would pass 300.
+        count = 20_000
+        plan = SamplePlan(default_region(p7), count, "uniform", 1)
+        tracemalloc.start()
+        try:
+            fit_qi_constants(evaluate_pairs(p7, sample_pairs(p7, plan)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / count < 300
+
 
 def report_from(values, n=1, p=5):
-    samples = tuple(
-        PairSample(
-            HoroPoint(0.0, (0.0,)), HoroPoint(0.0, (0.0,)), dh, dt, (int(dt),)
-        )
-        for dh, dt in values
-    )
+    samples = tuple(map(tuple, values))
     return DistortionReport(n=n, p=p, norm="l1", samples=samples)
 
 
@@ -198,11 +220,9 @@ def _scan_fit(samples, m_max):
     reference the bisection in fit_qi_constants must reproduce bit for bit.
     The floor is ceil(d_hyp) over fitted pairs with d_tree = 0, capped at
     m_max, as only m covers such a pair."""
-    fitting = [s for s in samples if s.d_hyp >= MIN_FIT_DHYP]
-    operands = [(s.d_tree, s.d_hyp) for s in fitting] + [
-        (s.d_hyp, s.d_tree) for s in fitting if s.d_tree > 0
-    ]
-    flat = [s.d_hyp for s in fitting if s.d_tree == 0]
+    fitting = [(h, t) for h, t in samples if h >= MIN_FIT_DHYP]
+    operands = [(t, h) for h, t in fitting] + [(h, t) for h, t in fitting if t > 0]
+    flat = [h for h, t in fitting if t == 0]
     m_min = min(m_max, math.ceil(max(flat))) if flat else 0
     best = None
     for m in map(float, range(m_min, m_max + 1)):
@@ -312,7 +332,7 @@ class TestVerticalBoundCheck:
     def test_equal_points_trivially_pass(self, p5):
         z = HoroPoint(2.0, (0.1,))
         rep = evaluate_pairs(p5, [(z, z)])
-        assert rep.samples[0].d_tree == 0.0
+        assert rep.samples[0][1] == 0.0
         # bound (0+1)/2 - 1 <= 0
 
     def test_random_pairs_all_pass(self, p5):
@@ -385,11 +405,16 @@ class TestReports:
 
     def test_csv_roundtrip(self, p5):
         plan = small_plan(count=25, seed=16)
-        rep = evaluate_pairs(p5, sample_pairs(p5, plan), plan=plan)
-        rows = list(csv.reader(io.StringIO(rep.to_csv())))
+        out = io.StringIO()
+        rep = evaluate_pairs(p5, sample_pairs(p5, plan), plan=plan, csv_file=out)
+        rows = list(csv.reader(io.StringIO(out.getvalue())))
         assert rows[0] == ["t", "x0", "tp", "xp0", "d_hyp", "d_tree", "d_c0", "d_c1"]
         assert len(rows) == 26
-        for row, sample in zip(rows[1:], rep.samples):
-            assert float(row[0]) == sample.z.t
-            assert float(row[4]) == sample.d_hyp
-            assert int(row[6]) == sample.per_color[0]
+        pairs = sample_pairs(p5, plan)
+        for row, (z, zp), (d_hyp, d_tree) in zip(rows[1:], pairs, rep.samples):
+            per = per_color_distances(p5, embed(p5, z), embed(p5, zp))
+            assert float(row[0]) == z.t
+            assert float(row[4]) == d_hyp
+            assert int(row[6]) == per[0]
+            assert row == [repr(z.t), repr(z.x[0]), repr(zp.t), repr(zp.x[0]),
+                           repr(d_hyp), repr(d_tree), str(per[0]), str(per[1])]
