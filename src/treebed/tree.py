@@ -68,17 +68,35 @@ def _meet(P: Params, u: CubeId, v: CubeId) -> tuple[int, int]:
 
     Always advances the endpoint at the higher level by the inlined hop of
     ancestor_chain, counting hops and keeping no walked cube; on a tie either
-    may go, as both must move. Neither walk can pass the meet: it lies on both chains and the walk only
-    advances strictly above it. Both ids are checked before the walk, which
-    would otherwise reach a lower endpoint's level before checking it.
+    may go, as both must move. Neither walk can pass the meet: it lies on
+    both chains and the walk only advances strictly above it. Both ids are
+    checked before the walk, which would otherwise reach a lower endpoint's
+    level before checking it.
+
+    At n = 1 each tip is a plain int, one floor division per level and no
+    list; for n >= 2 it is a list of cells. Tests holding both copies:
+    test_walk_matches_parent_oracle(_n2), test_meet_is_first_common_ancestor.
     """
     if u.c != v.c:
         raise ColorMismatch(f"colors {u.c} vs {v.c}")
     _check_id(P, u)
     _check_id(P, v)
     p, top, lift = P.p, P.p - 2, 1 - P.m[u.c]
-    ka, a, kb, b = u.k, list(u.gamma), v.k, list(v.gamma)
     hops = 0
+    if P.n == 1:
+        ka, (a,), kb, (b,) = u.k, u.gamma, v.k, v.gamma
+        while ka != kb or a != b:
+            if ka < kb:
+                ka, a, kb, b = kb, b, ka, a
+            while True:
+                ka -= 1
+                g = a + lift
+                a = g // p
+                if 1 <= g - a * p <= top:
+                    break
+            hops += 1
+        return ka, hops
+    ka, a, kb, b = u.k, list(u.gamma), v.k, list(v.gamma)
     while ka != kb or a != b:
         if ka < kb:
             ka, a, kb, b = kb, b, ka, a

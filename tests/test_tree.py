@@ -21,6 +21,7 @@ from treebed import (
     tree_path,
     validate_params,
 )
+from treebed.tree import _meet
 
 from reference import brute_force_edges, center, contains_box
 
@@ -231,6 +232,12 @@ def _digits(x, p):
     return d
 
 
+def _digit_bound(P, cid):
+    """ancestor_chain's bound on the levels one hop from cid scans."""
+    g_star = 0 if cid.c == 0 else -1
+    return _digits(max(abs(g - g_star) for g in cid.gamma), P.p) + 2
+
+
 _cube1 = st.builds(
     CubeId,
     c=st.integers(0, 1),
@@ -297,9 +304,40 @@ class TestAncestorKernel:
         c = data.draw(st.integers(0, P.n))
         k = data.draw(st.integers(-5, 5))
         gamma = data.draw(st.tuples(*[st.integers(-10**40, 10**40)] * P.n))
-        g_star = 0 if c == 0 else -1
-        bound = _digits(max(abs(g - g_star) for g in gamma), P.p) + 2
-        assert k - parent(P, CubeId(c, k, gamma)).k <= bound
+        cid = CubeId(c, k, gamma)
+        assert k - parent(P, cid).k <= _digit_bound(P, cid)
+
+    @pytest.mark.parametrize("P", _ACCEPTED, ids=lambda P: f"n{P.n}p{P.p}")
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_meet_is_first_common_ancestor(self, P, data):
+        # Walks of up to about 140 levels: levels -60..60 and |gamma| up to
+        # p^16, drawn apart, equal, or shaped like tree-walk queries (v is u
+        # scaled down by p^d, plus up to p^4).
+        c = data.draw(st.integers(0, P.n))
+        level = st.integers(-60, 60)
+        axis = st.integers(-P.p**16, P.p**16)
+        u = CubeId(c, data.draw(level), data.draw(st.tuples(*[axis] * P.n)))
+        shape = data.draw(st.sampled_from(["apart", "equal", "tree-walk"]))
+        if shape == "apart":
+            v = CubeId(c, data.draw(level), data.draw(st.tuples(*[axis] * P.n)))
+        elif shape == "equal":
+            v = CubeId(c, u.k, u.gamma)
+        else:
+            d = data.draw(st.integers(0, 4))
+            near = st.integers(-P.p**4, P.p**4)
+            v = CubeId(c, u.k - d, tuple(g // P.p**d + data.draw(near) for g in u.gamma))
+        # Below the digit bound both chains sit on the fixed point, so the
+        # chains down to it share at least their last cube.
+        floor_level = min(u.k, v.k) - max(_digit_bound(P, u), _digit_bound(P, v))
+        left = ancestor_chain(P, u, floor_level)
+        right = ancestor_chain(P, v, floor_level)
+        index = {w: j for j, w in enumerate(right)}
+        i = next(i for i, w in enumerate(left) if w in index)
+        j = index[left[i]]
+        assert _meet(P, u, v) == (left[i].k, i + j)
+        assert tree_distance(P, u, v) == i + j
+        assert tree_path(P, u, v) == left[: i + 1] + right[:j][::-1]
 
 
 def _adjacency(edges):
