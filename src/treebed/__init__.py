@@ -10,7 +10,6 @@ from .core import (
     DimensionMismatch,
     InvalidParams,
     Params,
-    RationalBox,
     ResourceLimit,
     validate_params,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "validate_params",
     "InvalidParams",
     "DimensionMismatch",
-    "RationalBox",
     "HoroPoint",
     "hyp_distance",
     "horo_distance",

@@ -1,6 +1,6 @@
-"""Exact construction parameters and rational boxes.
+"""Exact construction parameters and the package's record base.
 
-Everything in this module is exact: parameters and boxes use
+Everything in this module is exact: parameters and slabs use
 arbitrary-precision rationals. Floating point enters the picture only in
 :mod:`treebed.hyperbolic` (distances) and :mod:`treebed.verifier`
 (statistics). Exactness matters because the separation bounds the cube
@@ -48,7 +48,8 @@ class Record:
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
+    def key(self) -> tuple:
+        """The record's fields, in order."""
         return tuple([getattr(self, f) for f in self.__slots__])
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -60,17 +61,17 @@ class Record:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self.key() == other.key()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self.key())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
-        return type(self), self._values()
+        return type(self), self.key()
 
 
 class Params(Record):
@@ -177,18 +178,3 @@ def validate_params(n: int, p: int) -> Params:
         level_bound=_LOG_FLOAT_MAX / sigma,
         sigma=sigma,
     )
-
-
-class RationalBox(Record):
-    """Closed axis-aligned box with exact rational corners."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: RationalVec, hi: RationalVec) -> None:
-        if len(lo) != len(hi):
-            raise DimensionMismatch(f"lo has dimension {len(lo)}, hi has {len(hi)}")
-        for a, b in zip(lo, hi):
-            if a > b:
-                raise ValueError(f"empty box: lo {a} > hi {b}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)

@@ -29,7 +29,6 @@ from .core import (
     DimensionMismatch,
     Params,
     Rational,
-    RationalBox,
     RationalVec,
     Record,
     ResourceLimit,
@@ -71,9 +70,6 @@ class CubeId(Record):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "gamma", gamma)
 
-    def key(self) -> tuple:
-        return (self.c, self.k, self.gamma)
-
 
 def _check_color(P: Params, c: int) -> None:
     try:
@@ -97,11 +93,11 @@ def _check_id(P: Params, cid: CubeId) -> None:
     check_level(P, cid.k)
 
 
-def realize(P: Params, cid: CubeId) -> RationalBox:
-    """Exact rational box of a symbolic cube: the product of its axis slabs."""
+def realize(P: Params, cid: CubeId) -> tuple[RationalVec, RationalVec]:
+    """Exact corners (lo, hi) of a symbolic cube: the product of its axis slabs."""
     _check_id(P, cid)
     lo, hi = zip(*(P.slab(cid.c, cid.k, g) for g in cid.gamma))
-    return RationalBox(lo, hi)
+    return lo, hi
 
 
 def locate(

@@ -40,8 +40,15 @@ class EmbeddedPoint(Record):
 
 
 def embedding_level(z: HoroPoint) -> int:
-    """Level used for the image of z: floor(t + 1/2), half-integers up."""
-    return math.floor(z.t + 0.5)
+    """Level used for the image of z: floor(t + 1/2), half-integers up.
+
+    Decided on t - floor(t): the float sum t + 0.5 can round up to the next
+    integer just below a half-integer, as at t = 0.49999999999999994. t - k
+    is exact, except for -1/2 < t < 0, where it and its rounding are both
+    at least 1/2.
+    """
+    k = math.floor(z.t)
+    return k + (z.t - k >= 0.5)
 
 
 def embed(P: Params, z: HoroPoint) -> EmbeddedPoint:

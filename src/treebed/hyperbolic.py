@@ -21,7 +21,11 @@ class HoroPoint(Record):
     __slots__ = ("t", "x")
 
     def __init__(self, t: float, x: tuple[float, ...]) -> None:
-        if not (math.isfinite(t) and all(map(math.isfinite, x))):
+        try:
+            finite = math.isfinite(t) and all(map(math.isfinite, x))
+        except OverflowError:  # an integer beyond the double range
+            raise ValueError("a coordinate is beyond the double range") from None
+        if not finite:
             raise ValueError(f"non-finite coordinate in t={t}, x={x}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "x", x)
@@ -68,7 +72,16 @@ def hyp_distance(P: Params, z: HoroPoint, zp: HoroPoint) -> float:
 def horo_distance(
     P: Params, k: float, x: Sequence[float], xp: Sequence[float]
 ) -> float:
-    """Intrinsic metric of the level-k horosphere: p^k * ||x - x'||."""
+    """Intrinsic metric of the level-k horosphere: p^k * ||x - x'||.
+
+    A p^k or a distance beyond the double range raises ResourceLimit.
+    """
     if len(x) != P.n or len(xp) != P.n:
         raise DimensionMismatch(f"dims {len(x)}, {len(xp)} vs n={P.n}")
-    return float(P.p) ** k * math.dist(x, xp)
+    try:
+        d = float(P.p) ** k * math.dist(x, xp)
+    except OverflowError:
+        d = math.inf
+    if math.isinf(d):
+        raise ResourceLimit(f"horosphere distance overflow at p={P.p}")
+    return d

@@ -171,10 +171,10 @@ def export_subtree(
                     "c": v.c,
                     "k": v.k,
                     "gamma": list(v.gamma),
-                    "lo": [str(c) for c in boxes[v].lo],
-                    "hi": [str(c) for c in boxes[v].hi],
+                    "lo": [str(c) for c in lo],
+                    "hi": [str(c) for c in hi],
                 }
-                for v in nodes
+                for v, (lo, hi) in boxes.items()
             ],
             "edges": [[index[a], index[b]] for a, b in edges],
         }
@@ -194,9 +194,8 @@ def export_subtree(
             ) from exc
 
     lines = [f"graph T{id_list[0].c} {{"]
-    for v in nodes:
-        b = boxes[v]
-        lines.append(f'  "{name(v)}" [lo="{dec(b.lo)}", hi="{dec(b.hi)}"];')
+    for v, (lo, hi) in boxes.items():
+        lines.append(f'  "{name(v)}" [lo="{dec(lo)}", hi="{dec(hi)}"];')
     for a, b in edges:
         lines.append(f'  "{name(a)}" -- "{name(b)}" [weight=1];')
     lines.append("}")

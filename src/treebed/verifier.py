@@ -11,10 +11,9 @@ does not drift as the sampled region grows.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import random
-import time
+import sys
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from operator import index
@@ -148,14 +147,12 @@ def sample_pairs(
 
 
 class DistortionReport(Record):
-    __slots__ = ("n", "p", "norm", "samples", "plan", "l", "m", "violations",
-                 "runtime_ms")
+    __slots__ = ("n", "p", "norm", "samples", "plan", "l", "m", "violations")
 
     def __init__(
         self, n: int, p: int, norm: str, samples: tuple[tuple[float, float], ...],
         plan: SamplePlan | None = None, l: float | None = None,
         m: float | None = None, violations: int | None = None,
-        runtime_ms: float | None = None,
     ) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
@@ -165,11 +162,8 @@ class DistortionReport(Record):
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "runtime_ms", runtime_ms)
 
     def to_json_dict(self) -> dict:
-        # runtime_ms deliberately stays out: report files must be
-        # byte-identical across runs for a fixed seed.
         return {
             "params": {"n": self.n, "p": self.p},
             "plan": self.plan.to_json_dict() if self.plan else None,
@@ -178,10 +172,6 @@ class DistortionReport(Record):
             "fit": {"l": self.l, "m": self.m},
             "violations": self.violations,
         }
-
-    def to_json(self) -> str:
-        doc = self.to_json_dict()
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def evaluate_pairs(
@@ -204,7 +194,6 @@ def evaluate_pairs(
         xps = [f"xp{i}" for i in range(P.n)]
         cs = [f"d_c{c}" for c in range(P.n + 1)]
         write_row(["t", *xs, "tp", *xps, "d_hyp", "d_tree", *cs])
-    start = time.perf_counter()
     samples = []
     for z, zp in pairs:
         per = per_color_distances(P, embed(P, z), embed(P, zp))
@@ -216,7 +205,6 @@ def evaluate_pairs(
                 [repr(z.t), *map(repr, z.x), repr(zp.t), *map(repr, zp.x),
                  repr(d_hyp), repr(d_tree), *map(str, per)]
             )
-    runtime_ms = (time.perf_counter() - start) * 1000.0
     if not samples:
         raise ValueError("no pairs to evaluate")
     return DistortionReport(
@@ -225,7 +213,6 @@ def evaluate_pairs(
         norm=norm,
         samples=tuple(samples),
         plan=plan,
-        runtime_ms=runtime_ms,
     )
 
 
@@ -243,6 +230,8 @@ def count_violations(
 def _check_m_max(m_max: int) -> None:
     if index(m_max) < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
+    if m_max > sys.maxsize:  # the fit bisects range(m_max)
+        raise ValueError(f"m_max must be at most sys.maxsize = {sys.maxsize}")
 
 
 def fit_qi_constants(report: DistortionReport, m_max: int = 50) -> DistortionReport:
@@ -287,9 +276,7 @@ def fit_qi_constants(report: DistortionReport, m_max: int = 50) -> DistortionRep
     )
     r = report
     violations = count_violations(r.samples, l, m)
-    return DistortionReport(
-        r.n, r.p, r.norm, r.samples, r.plan, l, m, violations, r.runtime_ms
-    )
+    return DistortionReport(r.n, r.p, r.norm, r.samples, r.plan, l, m, violations)
 
 
 def vertical_bound_check(P: Params, count: int, seed: int) -> tuple[dict, ...]:

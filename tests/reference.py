@@ -2,7 +2,8 @@
 package because only the tests read them.
 
 The box predicates (``center``, ``contains_point``, ``contains_box``,
-``box_gap_sq``, ``boundary_margin``) act on a realized ``RationalBox``, and
+``box_gap_sq``, ``boundary_margin``) take a box as the corner pair
+``(lo, hi)`` that ``realize`` returns, and
 ``brute_force_edges`` enumerates the edge relation over a finite window.
 They are the references the integer fast paths of the package are tested
 against: ``separation_verdict`` against the box gap and margin, the lazy
@@ -12,33 +13,36 @@ parent and tree walk against the brute-force edges.
 from fractions import Fraction
 from itertools import product
 
-from treebed import CubeId, DimensionMismatch, Params, RationalBox, ResourceLimit, realize
+from treebed import CubeId, DimensionMismatch, Params, ResourceLimit, realize
+
+# A closed axis-aligned box as its exact corners (lo, hi).
+Box = tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
 
 
-def dim(box: RationalBox) -> int:
-    return len(box.lo)
+def dim(box: Box) -> int:
+    return len(box[0])
 
 
-def center(box: RationalBox) -> tuple[Fraction, ...]:
-    return tuple((lo + hi) / 2 for lo, hi in zip(box.lo, box.hi))
+def center(box: Box) -> tuple[Fraction, ...]:
+    return tuple((lo + hi) / 2 for lo, hi in zip(*box))
 
 
-def contains_point(box: RationalBox, x) -> bool:
+def contains_point(box: Box, x) -> bool:
     if len(x) != dim(box):
         raise DimensionMismatch(f"point dim {len(x)} vs box dim {dim(box)}")
-    return all(lo <= c <= hi for lo, c, hi in zip(box.lo, x, box.hi))
+    return all(lo <= c <= hi for lo, c, hi in zip(box[0], x, box[1]))
 
 
-def contains_box(box: RationalBox, other: RationalBox) -> bool:
+def contains_box(box: Box, other: Box) -> bool:
     if dim(other) != dim(box):
         raise DimensionMismatch(f"box dims {dim(other)} vs {dim(box)}")
     return all(
         slo <= olo and ohi <= shi
-        for slo, shi, olo, ohi in zip(box.lo, box.hi, other.lo, other.hi)
+        for slo, shi, olo, ohi in zip(*box, *other)
     )
 
 
-def box_gap_sq(b1: RationalBox, b2: RationalBox) -> Fraction:
+def box_gap_sq(b1: Box, b2: Box) -> Fraction:
     """Exact squared Euclidean distance between two closed boxes.
 
     Zero iff the boxes intersect. Symmetric, and non-increasing when either
@@ -47,13 +51,13 @@ def box_gap_sq(b1: RationalBox, b2: RationalBox) -> Fraction:
     if dim(b1) != dim(b2):
         raise DimensionMismatch(f"box dims {dim(b1)} vs {dim(b2)}")
     total = Fraction(0)
-    for lo1, hi1, lo2, hi2 in zip(b1.lo, b1.hi, b2.lo, b2.hi):
+    for lo1, hi1, lo2, hi2 in zip(*b1, *b2):
         g = max(lo2 - hi1, lo1 - hi2, Fraction(0))
         total += g * g
     return total
 
 
-def boundary_margin(outer: RationalBox, inner: RationalBox) -> Fraction | None:
+def boundary_margin(outer: Box, inner: Box) -> Fraction | None:
     """Distance from ``inner`` to the boundary of ``outer``, or None.
 
     Returns the exact min-over-axes margin when inner is contained in outer
@@ -66,12 +70,12 @@ def boundary_margin(outer: RationalBox, inner: RationalBox) -> Fraction | None:
         return None
     return min(
         min(ilo - olo, ohi - ihi)
-        for olo, ohi, ilo, ihi in zip(outer.lo, outer.hi, inner.lo, inner.hi)
+        for olo, ohi, ilo, ihi in zip(*outer, *inner)
     )
 
 
 def _level_contains_box(
-    P: Params, c: int, j: int, box: RationalBox, gamma_range: range
+    P: Params, c: int, j: int, box: Box, gamma_range: range
 ) -> bool:
     """Does any level-j cube with per-axis gamma in range contain box?
 
@@ -79,7 +83,7 @@ def _level_contains_box(
     oracle instead of the candidate arithmetic of the lazy parent.
     """
     slabs = [P.slab(c, j, g) for g in gamma_range]
-    for lo, hi in zip(box.lo, box.hi):
+    for lo, hi in zip(*box):
         if not any(slo <= lo and hi <= shi for slo, shi in slabs):
             return False
     return True

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -113,6 +114,14 @@ class TestQueries:
             {"c": 0, "k": 0, "gamma": [0]},
             {"c": 1, "k": 0, "gamma": [-1]},
         ]
+
+    def test_embed_one_ulp_below_a_half(self, capsys):
+        # t + 0.5 rounds to 1.0 here, but floor(t + 1/2) is 0.
+        code, out, _ = run(
+            capsys, "embed", "--n", "1", "--p", "5", "--point=0.49999999999999994,0"
+        )
+        assert code == 0
+        assert [v["k"] for v in json.loads(out)["images"]] == [0, 0]
 
     def test_level_limit_names_a_huge_level_briefly(self, capsys):
         # round(1e308) has 309 digits; the message gives their count.
@@ -251,6 +260,9 @@ class TestVerify:
         assert doc["n_samples"] == 200
         assert doc["violations"] == 0
         assert "fitted l=" in err
+        # The wall time is timed around the measuring and kept off the report.
+        assert re.fullmatch(r"fitted l=\S+ m=\S+ violations=0 runtime_ms=\d+\.\d\n", err)
+        assert "runtime" not in out_file.read_text()
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

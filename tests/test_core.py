@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from treebed import (
     DimensionMismatch,
     InvalidParams,
-    RationalBox,
     validate_params,
 )
 
@@ -14,7 +13,7 @@ from reference import boundary_margin, box_gap_sq
 
 
 def box(*pairs):
-    return RationalBox(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+    return tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
 
 
 class TestValidateParams:
@@ -101,7 +100,7 @@ def rationals(lo=-50, hi=50):
 def boxes(draw, dim):
     lo = [draw(rationals()) for _ in range(dim)]
     hi = [l + draw(rationals(0, 50)) for l in lo]
-    return RationalBox(tuple(lo), tuple(hi))
+    return tuple(lo), tuple(hi)
 
 
 @given(boxes(2), boxes(2))
@@ -117,26 +116,22 @@ def test_gap_self_zero(b):
 
 @given(boxes(2), boxes(2), rationals(0, 10))
 def test_gap_shrinks_when_box_grows(b1, b2, pad):
-    grown = RationalBox(
-        tuple(c - pad for c in b1.lo), tuple(c + pad for c in b1.hi)
-    )
+    lo, hi = b1
+    grown = tuple(c - pad for c in lo), tuple(c + pad for c in hi)
     assert box_gap_sq(grown, b2) <= box_gap_sq(b1, b2)
 
 
 @given(boxes(2), rationals(0, 5), rationals(0, 5))
 def test_margin_grows_when_inner_shrinks(outer, pad1, pad2):
-    inner = RationalBox(
-        tuple(c + pad1 for c in outer.lo), tuple(c + pad1 for c in outer.hi)
-    )
+    olo, ohi = outer
+    ilo, ihi = tuple(c + pad1 for c in olo), tuple(c + pad1 for c in ohi)
     # inner must actually fit; recenter by clamping to outer via intersection
-    inner = RationalBox(
-        tuple(min(max(lo, olo), ohi) for lo, olo, ohi in zip(inner.lo, outer.lo, outer.hi)),
-        tuple(min(max(hi, olo), ohi) for hi, olo, ohi in zip(inner.hi, outer.lo, outer.hi)),
+    inner = (
+        tuple(min(max(lo, a), b) for lo, a, b in zip(ilo, olo, ohi)),
+        tuple(min(max(hi, a), b) for hi, a, b in zip(ihi, olo, ohi)),
     )
     m1 = boundary_margin(outer, inner)
     assert m1 is not None and m1 >= 0
-    shrunk_hi = tuple(
-        max(lo, hi - pad2) for lo, hi in zip(inner.lo, inner.hi)
-    )
-    m2 = boundary_margin(outer, RationalBox(inner.lo, shrunk_hi))
+    shrunk_hi = tuple(max(lo, hi - pad2) for lo, hi in zip(*inner))
+    m2 = boundary_margin(outer, (inner[0], shrunk_hi))
     assert m2 >= m1

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from treebed import (
     ColorMismatch,
     CubeId,
+    DimensionMismatch,
     InvalidParams,
     Params,
-    RationalBox,
     ResourceLimit,
     SeparationKind,
     SeparationVerdict,
@@ -41,13 +41,13 @@ class TestRealize:
         ],
     )
     def test_frozen_boxes(self, p5, cid, lo, hi):
-        assert realize(p5, cid) == RationalBox((lo,), (hi,))
+        assert realize(p5, cid) == ((lo,), (hi,))
 
     def test_side_and_diameter(self, p7):
         for k in (-2, 0, 3):
             b = realize(p7, CubeId(2, k, (4, -1)))
             side = F(5, 7) * F(1, 7) ** k
-            assert all(hi - lo == side for lo, hi in zip(b.lo, b.hi))
+            assert all(hi - lo == side for lo, hi in zip(*b))
 
     def test_non_integer_fields(self, p5):
         with pytest.raises(TypeError, match="integer"):
@@ -59,9 +59,9 @@ class TestRealize:
 
     def test_level_minus1_is_expansion_of_level0(self, p5):
         # H([1/5,4/5]) = 5x - 1 on endpoints
-        b = realize(p5, CubeId(0, -1, (0,)))
-        b0 = realize(p5, CubeId(0, 0, (0,)))
-        assert b.lo[0] == 5 * b0.lo[0] - 1 and b.hi[0] == 5 * b0.hi[0] - 1
+        (lo,), (hi,) = realize(p5, CubeId(0, -1, (0,)))
+        (lo0,), (hi0,) = realize(p5, CubeId(0, 0, (0,)))
+        assert lo == 5 * lo0 - 1 and hi == 5 * hi0 - 1
 
 
 cube_ids = st.builds(
@@ -76,9 +76,9 @@ cube_ids = st.builds(
 def test_self_similarity(cid):
     # realize(c,k,gamma) = H^{-1}(realize(c,k-1,gamma)), H^{-1}(y) = (y+1)/p
     P = validate_params(1, 5)
-    b = realize(P, cid)
-    up = realize(P, CubeId(cid.c, cid.k - 1, cid.gamma))
-    assert b.lo[0] == (up.lo[0] + 1) / 5 and b.hi[0] == (up.hi[0] + 1) / 5
+    (lo,), (hi,) = realize(P, cid)
+    (up_lo,), (up_hi,) = realize(P, CubeId(cid.c, cid.k - 1, cid.gamma))
+    assert lo == (up_lo + 1) / 5 and hi == (up_hi + 1) / 5
 
 
 @given(cube_ids, st.sampled_from([F, float, str]))
@@ -89,10 +89,10 @@ def test_locate_realize_roundtrip(cid, coerce):
     for P in (validate_params(1, 5), validate_params(2, 7)):
         cube = CubeId(min(cid.c, P.n), cid.k, (cid.gamma[0], -cid.gamma[0])[: P.n])
         box = realize(P, cube)
-        after = realize(P, CubeId(cube.c, cube.k, tuple(g + 1 for g in cube.gamma)))
-        gap_mid = tuple((hi + lo) / 2 for hi, lo in zip(box.hi, after.lo))
+        after_lo, _ = realize(P, CubeId(cube.c, cube.k, tuple(g + 1 for g in cube.gamma)))
+        gap_mid = tuple((hi + lo) / 2 for hi, lo in zip(box[1], after_lo))
         assert locate(P, cube.c, cube.k, tuple(map(coerce, center(box)))) == cube
-        for x in (box.lo, box.hi, gap_mid):
+        for x in (*box, gap_mid):
             xs = tuple(map(coerce, x))
             want = cube if contains_point(box, tuple(map(F, xs))) else None
             assert locate(P, cube.c, cube.k, xs) == want
@@ -136,7 +136,7 @@ class TestNearestInLevel:
             # exact squared distance to every cube of a window around x;
             # min over (distance, gamma) breaks ties to the smallest gamma
             point = tuple(F(v) for v in x)
-            at = RationalBox(point, point)
+            at = (point, point)
             _, gamma = min(
                 (box_gap_sq(at, realize(P, CubeId(c, k, g))), g)
                 for g in product(range(-5, 6), repeat=P.n)
@@ -152,10 +152,10 @@ class TestNearestInLevel:
                     boxes = [
                         realize(P, CubeId(c, k, (g,) * P.n)) for g in range(-3, 5)
                     ]
-                    lo, hi = boxes[0].lo[0], boxes[-2].hi[0]
+                    lo, hi = boxes[0][0][0], boxes[-2][1][0]
                     axis = [F(rng.uniform(lo, hi)) for _ in range(draws)]
-                    for b, after in zip(boxes, boxes[1:]):
-                        axis += [b.lo[0], b.hi[0], (b.hi[0] + after.lo[0]) / 2]
+                    for (b_lo, b_hi), (after_lo, _) in zip(boxes, boxes[1:]):
+                        axis += [b_lo[0], b_hi[0], (b_hi[0] + after_lo[0]) / 2]
                     if P.n == 1:
                         points = [(v,) for v in axis]
                     else:
@@ -188,6 +188,13 @@ def test_query_checks_color_and_level(p5, query, c, k, error):
     # shift, c = 5 would index past it, and p**k at k = 2e6 takes a second.
     with pytest.raises(error):
         query(p5, c, k, (0.3,))
+
+
+@pytest.mark.parametrize("query", [locate, nearest_in_level])
+@pytest.mark.parametrize("x", [(), (0.3, 0.3)])
+def test_query_checks_dimension(p5, query, x):
+    with pytest.raises(DimensionMismatch, match=f"expected dimension 1, got {len(x)}"):
+        query(p5, 0, 1, x)
 
 
 def test_level_past_the_print_limit_is_a_resource_limit(p5):
@@ -426,9 +433,9 @@ class TestCovering:
         # the torus; together they leave nothing
         segments = []
         for c in (0, 1):
-            b = realize(p5, CubeId(c, 0, (0,)))
+            (b_lo,), (b_hi,) = realize(p5, CubeId(c, 0, (0,)))
             for g in (-1, 0):
-                lo, hi = b.lo[0] + g, b.hi[0] + g
+                lo, hi = b_lo + g, b_hi + g
                 segments.append((max(lo, F(0)), min(hi, F(1))))
         segments = sorted(s for s in segments if s[0] < s[1])
         reach = F(0)
@@ -535,12 +542,11 @@ def _covering_brute_force(P, colors, max_witnesses=32):
     every one of the m^n cells is tested (vectorized), in lexicographic order.
     """
     slabs = {c: realize(P, CubeId(c, 0, (0,) * P.n)) for c in P.colors}
-    m = math.lcm(*(b.lo[0].denominator for b in slabs.values()),
-                 *(b.hi[0].denominator for b in slabs.values()))
+    m = math.lcm(*(end[0].denominator for b in slabs.values() for end in b))
     centers = [F(2 * i + 1, 2 * m) for i in range(m)]
     covered = np.zeros((m,) * P.n, dtype=bool)
     for c in colors:
-        lo, hi = slabs[c].lo[0], slabs[c].hi[0]
+        lo, hi = slabs[c][0][0], slabs[c][1][0]
         axis = np.array([(x - lo) % 1 <= hi - lo for x in centers])
         cells = np.ones((m,) * P.n, dtype=bool)
         for d in range(P.n):

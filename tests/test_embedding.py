@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from treebed import (
+    ColorMismatch,
     CubeId,
     HoroPoint,
     embed,
@@ -36,6 +37,12 @@ class TestEmbedColor:
     def test_half_integer_rounds_up(self, p5):
         assert embedding_level(HoroPoint(0.5, (0.0,))) == 1
         assert embedding_level(HoroPoint(-0.5, (0.0,))) == 0
+        # One ulp below j + 1/2 the level is j, though t + 0.5 can round up
+        # to j + 1, as it does at j = 0.
+        for j in (0, 1, 2, 7, 2**40, -1, -2, -7, -(2**40)):
+            t = math.nextafter(j + 0.5, -math.inf)
+            assert embedding_level(HoroPoint(t, (0.0,))) == j
+            assert embedding_level(HoroPoint(t, (0.0,))) == math.floor(F(t) + F(1, 2))
 
     def test_level_coherence(self, p5):
         rng = random.Random(40)
@@ -130,6 +137,12 @@ class TestProductDistance:
             l2 = product_distance(p5, e1, e2, "l2")
             l1 = product_distance(p5, e1, e2, "l1")
             assert linf <= l2 <= l1 <= (p5.n + 1) * linf
+
+    def test_color_count_mismatch(self, p5, p7):
+        e1 = embed(p5, HoroPoint(0.0, (0.5,)))
+        e2 = embed(p7, HoroPoint(0.0, (0.5, 0.5)))
+        with pytest.raises(ColorMismatch, match="2 vs 3 color images"):
+            per_color_distances(p5, e1, e2)
 
     def test_unknown_norm(self, p5):
         e = embed(p5, HoroPoint(0.0, (0.5,)))

@@ -178,6 +178,22 @@ class TestHypDistance:
             hyp_distance(p7, HoroPoint(0.0, (0.0,)), HoroPoint(0.0, (0.0, 0.0)))
 
 
+@pytest.mark.parametrize(
+    "t,x",
+    [
+        (math.inf, (0.0,)),
+        (0.0, (math.nan,)),
+        pytest.param(0.0, (10**400,), id="x-10**400"),
+        pytest.param(-(10**400), (0.0,), id="t-10**400"),
+    ],
+)
+def test_point_needs_finite_coordinates(t, x):
+    # An integer beyond the double range is refused without printing it.
+    with pytest.raises(ValueError) as info:
+        HoroPoint(t, x)
+    assert len(str(info.value)) < 60
+
+
 class TestHoroDistance:
     def test_level0(self, p5):
         assert horo_distance(p5, 0, (0.0,), (1.0,)) == 1.0
@@ -188,6 +204,25 @@ class TestHoroDistance:
     def test_negative_level_n2(self, p7):
         # ||(3,4)|| = 5 scaled by p^{-2}
         assert horo_distance(p7, -2, (0.0, 0.0), (3.0, 4.0)) == pytest.approx(5 / 49)
+
+    def test_dimension_mismatch(self, p5):
+        with pytest.raises(DimensionMismatch):
+            horo_distance(p5, 0, (0.0,), (0.0, 1.0))
+        with pytest.raises(DimensionMismatch):
+            horo_distance(p5, 0, (), (1.0,))
+
+    @pytest.mark.parametrize(
+        "k,x,xp",
+        [
+            (1000, 0.0, 1.0),
+            pytest.param(10**400, 0.0, 1.0, id="10**400-0.0-1.0"),
+            (300, 0.0, 1e100),
+            (0, 1e308, -1e308),
+        ],
+    )
+    def test_overflow_is_a_resource_limit(self, p5, k, x, xp):
+        with pytest.raises(ResourceLimit, match="horosphere distance overflow at p=5"):
+            horo_distance(p5, k, (x,), (xp,))
 
     def test_projection_scaling_law(self, p5):
         rng = random.Random(16)

@@ -431,6 +431,12 @@ class TestExportSubtree:
         with pytest.raises(ColorMismatch):
             export_subtree(p5, [CubeId(0, 0, (0,)), CubeId(1, 0, (0,))])
 
+    def test_no_ids_and_unknown_format(self, p5):
+        with pytest.raises(ValueError, match="no cube ids given"):
+            export_subtree(p5, iter(()))
+        with pytest.raises(ValueError, match="unknown format 'svg'"):
+            export_subtree(p5, [CubeId(0, 1, (2,))], fmt="svg")
+
     @given(st.sampled_from([(1, 5), (2, 7)]), st.data())
     @settings(max_examples=40, deadline=None)
     def test_span_is_the_union_of_pairwise_paths(self, np_, data):

@@ -1,7 +1,9 @@
 import csv
 import io
+import json
 import math
 import re
+import sys
 import tracemalloc
 from collections.abc import Iterator
 
@@ -266,10 +268,22 @@ class TestFit:
         with pytest.raises(ValueError, match="every pair is below the fitting floor"):
             fit_qi_constants(report_from([(0.0, 0.0)]), m_max=0)
 
-    @pytest.mark.parametrize("m_max, error", [(-1, ValueError), (1.5, TypeError)])
+    @pytest.mark.parametrize(
+        "m_max, error",
+        [
+            (-1, ValueError),
+            (1.5, TypeError),
+            pytest.param(10**100, ValueError, id="10**100-ValueError"),
+            pytest.param(sys.maxsize + 1, ValueError, id="maxsize+1-ValueError"),
+        ],
+    )
     def test_m_max_must_be_a_non_negative_integer(self, m_max, error):
         with pytest.raises(error):
             fit_qi_constants(report_from([(1.0, 2.0)]), m_max=m_max)
+
+    def test_m_max_up_to_maxsize(self):
+        fitted = fit_qi_constants(report_from([(1.0, 2.0)]), m_max=sys.maxsize)
+        assert (fitted.l, fitted.m) == (1.0, 1.0)
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -361,7 +375,14 @@ class TestStabilityProbe:
         with pytest.raises(ValueError):
             stability_probe(p5, small_plan(), [2.0, 1.0])
 
-    @pytest.mark.parametrize("m_max,error", [(-1, ValueError), (1.5, TypeError)])
+    @pytest.mark.parametrize(
+        "m_max,error",
+        [
+            (-1, ValueError),
+            (1.5, TypeError),
+            pytest.param(10**100, ValueError, id="10**100-ValueError"),
+        ],
+    )
     def test_m_max_checked_before_sampling(self, p5, monkeypatch, m_max, error):
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before m_max was checked")
@@ -385,9 +406,11 @@ class TestReports:
 
         def run():
             rep = evaluate_pairs(p5, sample_pairs(p5, plan), plan=plan)
-            return fit_qi_constants(rep).to_json()
+            return fit_qi_constants(rep)
 
-        assert run() == run()
+        first, second = run(), run()
+        assert first == second and first is not second
+        assert json.dumps(first.to_json_dict()) == json.dumps(second.to_json_dict())
 
     def test_json_shape(self, p5):
         plan = small_plan(count=10, seed=14)
@@ -400,8 +423,9 @@ class TestReports:
     def test_runtime_not_in_json(self, p5):
         plan = small_plan(count=5, seed=15)
         rep = evaluate_pairs(p5, sample_pairs(p5, plan), plan=plan)
-        assert rep.runtime_ms is not None
-        assert "runtime" not in rep.to_json()
+        assert not hasattr(rep, "runtime_ms")
+        assert "runtime_ms" not in type(rep).__slots__
+        assert "runtime" not in json.dumps(fit_qi_constants(rep).to_json_dict())
 
     def test_csv_roundtrip(self, p5):
         plan = small_plan(count=25, seed=16)
